@@ -65,8 +65,6 @@ from .solver import (
     ToleranceToReference,
     cut_relaxation,
     iterate,
-    residuals,
-    select_furthest,
     solve,
 )
 

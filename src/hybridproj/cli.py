@@ -53,7 +53,6 @@ from .solver import (
 __all__ = [
     "RunConfig",
     "ConfigError",
-    "DeterminismError",
     "load_config",
     "build_inputs",
     "run",
@@ -82,10 +81,6 @@ EXIT_VALIDATION_FAILURE = 3
 
 class ConfigError(ValueError):
     """The config file is malformed or describes an inadmissible run."""
-
-
-class DeterminismError(RuntimeError):
-    """Benchmark rows disagree on iterates that must be identical."""
 
 
 @dataclass(frozen=True)

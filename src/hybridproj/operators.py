@@ -4,9 +4,11 @@ operators, and (asymptotically) strictly pseudocontractive mappings.
 A problem family bundles N bifunction/operator pairs and M mappings over one
 base set, together with the shared constants the solver needs: the smallest
 inverse-strong-monotonicity modulus, the largest pseudocontraction constant,
-and the pointwise-largest asymptotic sequence. Large built-in families may
-additionally carry vectorized chunk kernels so candidate generation does not
-touch per-member Python objects.
+and the pointwise-largest asymptotic sequence. Every family carries a pair
+of chunk kernels, the one interface through which the solver evaluates
+members: large built-in families pass closed-form vectorized kernels, and
+:meth:`ProblemFamily.from_members` builds kernels that evaluate member
+objects one by one.
 """
 
 from __future__ import annotations
@@ -182,10 +184,11 @@ def identity_map() -> PseudoContraction:
     return PseudoContraction(map=lambda x: np.array(x, dtype=np.float64), kappa=0.0)
 
 
-# Chunk kernel contracts for vectorized families:
+# Chunk kernel contracts; every family carries one kernel of each kind:
 #   gep kernel: (lo, hi, r, x) -> resolvent candidates, shape (hi - lo, d)
 #   map kernel: (lo, hi, nominal_power, point) -> mapped points, shape (hi - lo, d);
-# a kernel applies each member at its effective power (plain members always 1).
+# a map kernel applies each member at its effective power (plain members
+# always 1). Returned arrays are new and owned by the caller.
 GepKernel = Callable[[int, int, float, np.ndarray], np.ndarray]
 MapKernel = Callable[[int, int, int, np.ndarray], np.ndarray]
 
@@ -195,10 +198,12 @@ class ProblemFamily:
     """The data of one common-solution problem.
 
     Fields ``alpha``, ``kappa`` and ``k_seq`` are the family-wide reductions
-    (min modulus, max constant, pointwise max sequence). Use
-    :meth:`from_members` to compute them from the member lists; builders of
-    very large families pass exact analytic values instead, together with
-    chunk kernels, so that members never need to be materialized.
+    (min modulus, max constant, pointwise max sequence over the asymptotic
+    mappings). ``gep_kernel`` and ``map_kernel`` evaluate chunks of members.
+    Use :meth:`from_members` to compute all of these from member objects;
+    builders of very large families pass exact analytic values and
+    closed-form kernels instead, so that members never need to be
+    materialized.
     """
 
     base: BaseSet
@@ -207,8 +212,8 @@ class ProblemFamily:
     alpha: float
     kappa: float
     k_seq: Callable[[int], float]
-    gep_kernel: GepKernel | None = None
-    map_kernel: MapKernel | None = None
+    gep_kernel: GepKernel
+    map_kernel: MapKernel
     known_solution: Any = None
     # Family-level flag so huge lazy member sequences never need a scan.
     asymptotic_members: bool = False
@@ -241,17 +246,45 @@ class ProblemFamily:
         maps: Sequence[PseudoContraction],
         **kwargs,
     ) -> "ProblemFamily":
+        """Family over explicit member objects.
+
+        The kernels evaluate the members one by one: :func:`resolvent` per
+        pair, and :func:`apply_power` per mapping, at the nominal power for
+        asymptotic mappings and at power one for plain ones.
+        """
+        geps = tuple(geps)
+        maps = tuple(maps)
         alpha = min((op.alpha for _, op in geps), default=math.inf)
         kappa = max((s.kappa for s in maps), default=0.0)
-        if maps:
-            members = tuple(maps)
-            k_seq = lambda n: max(s.k_seq(n) for s in members)  # noqa: E731
+        # Plain mappings hold at k = 1 whatever sequence they declare.
+        asymptotic = tuple(s for s in maps if s.asymptotic)
+        if asymptotic:
+            k_seq = lambda n: max(s.k_seq(n) for s in asymptotic)  # noqa: E731
         else:
             k_seq = lambda n: 1.0  # noqa: E731
+
+        def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
+            rows = np.empty((hi - lo, x.size))
+            for i in range(lo, hi):
+                f, A = geps[i]
+                rows[i - lo] = resolvent(f, A, r, x, base)
+            return rows
+
+        def map_kernel(
+            lo: int, hi: int, nominal_power: int, point: np.ndarray
+        ) -> np.ndarray:
+            rows = np.empty((hi - lo, point.size))
+            for j in range(lo, hi):
+                s = maps[j]
+                power = nominal_power if s.asymptotic else 1
+                rows[j - lo] = apply_power(s, power, point)
+            return rows
+
         return cls(
-            base=base, geps=tuple(geps), maps=tuple(maps),
+            base=base, geps=geps, maps=maps,
             alpha=alpha, kappa=kappa, k_seq=k_seq,
-            asymptotic_members=any(s.asymptotic for s in maps), **kwargs,
+            gep_kernel=gep_kernel, map_kernel=map_kernel,
+            asymptotic_members=bool(asymptotic), **kwargs,
         )
 
 
@@ -377,25 +410,10 @@ def lipschitz_bound(kappa: float, k_values: Sequence[float]) -> float:
     )
 
 
-def gep_chunk_evaluator(
-    family: ProblemFamily, r: float, x: np.ndarray, tol: float = DEFAULT_RESOLVENT_TOL
-):
+def gep_chunk_evaluator(family: ProblemFamily, r: float, x: np.ndarray):
     """Chunk evaluator producing resolvent candidates for members lo..hi."""
-    if family.gep_kernel is not None:
-        kernel = family.gep_kernel
-        return lambda lo, hi: kernel(lo, hi, r, x)
-
-    geps = family.geps
-    base = family.base
-
-    def evaluate(lo: int, hi: int) -> np.ndarray:
-        rows = np.empty((hi - lo, x.size))
-        for i in range(lo, hi):
-            f, A = geps[i]
-            rows[i - lo] = resolvent(f, A, r, x, base, tol)
-        return rows
-
-    return evaluate
+    kernel = family.gep_kernel
+    return lambda lo, hi: kernel(lo, hi, r, x)
 
 
 def map_chunk_evaluator(family: ProblemFamily, nominal_power: int, point: np.ndarray):
@@ -404,21 +422,8 @@ def map_chunk_evaluator(family: ProblemFamily, nominal_power: int, point: np.nda
     Asymptotic members run at ``nominal_power``; plain members always run at
     power one.
     """
-    if family.map_kernel is not None:
-        kernel = family.map_kernel
-        return lambda lo, hi: kernel(lo, hi, nominal_power, point)
-
-    maps = family.maps
-
-    def evaluate(lo: int, hi: int) -> np.ndarray:
-        rows = np.empty((hi - lo, point.size))
-        for j in range(lo, hi):
-            s = maps[j]
-            power = nominal_power if s.asymptotic else 1
-            rows[j - lo] = apply_power(s, power, point)
-        return rows
-
-    return evaluate
+    kernel = family.map_kernel
+    return lambda lo, hi: kernel(lo, hi, nominal_power, point)
 
 
 @dataclass(frozen=True)

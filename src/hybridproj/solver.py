@@ -20,7 +20,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .geometry import (
     project_nested,
 )
 from .operators import ProblemFamily, gep_chunk_evaluator, map_chunk_evaluator
-from .parallel import Furthest, furthest_candidate
+from .parallel import furthest_candidate
 
 __all__ = [
     "ParamSchedule",
@@ -42,13 +42,10 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "SolverState",
-    "ResidualTriple",
     "Report",
     "cut_relaxation",
-    "select_furthest",
     "iterate",
     "solve",
-    "residuals",
 ]
 
 SCHEDULE_PREFIX_CAP = 100_000
@@ -195,27 +192,12 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
-class ResidualTriple:
-    res_y: float
-    res_z: float
-    res_s: float
-
-
-@dataclass(frozen=True)
 class SolverState:
     n: int
     x: np.ndarray
     x0: np.ndarray
     nested: NestedSet
     last: IterationRecord | None = None
-
-    @property
-    def y_far(self) -> np.ndarray | None:
-        return None if self.last is None else self.last.y_far
-
-    @property
-    def z_far(self) -> np.ndarray | None:
-        return None if self.last is None else self.last.z_far
 
 
 @dataclass(frozen=True)
@@ -246,46 +228,6 @@ def cut_relaxation(k_n: float, x, omega: float, variant: str = "standard") -> fl
     if variant == "squared":
         return (k_n * k_n - 1.0) * reach * reach
     raise ValueError(f"unknown relaxation variant {variant!r}")
-
-
-def select_furthest(x, candidates: Sequence) -> tuple[int, np.ndarray]:
-    """Index and value of the candidate furthest from ``x``.
-
-    Ties break toward the smallest index, matching the parallel reduction.
-    """
-    xv = as_vector(x)
-    if len(candidates) == 0:
-        raise ValueError("candidate list must be nonempty")
-    best_i = 0
-    best_d2 = -1.0
-    best_v = None
-    for i, candidate in enumerate(candidates):
-        cv = as_vector(candidate)
-        if cv.shape != xv.shape:
-            raise ValueError("candidate dimension mismatch")
-        d2 = float(np.sum((cv - xv) ** 2))
-        if d2 > best_d2:
-            best_i, best_d2, best_v = i, d2, cv
-    return best_i, best_v
-
-
-def _map_phase(
-    problem: ProblemFamily,
-    nominal_power: int,
-    point: np.ndarray,
-    measure_from: np.ndarray,
-    pool: ThreadPoolExecutor | None,
-    workers: int,
-    combine: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Furthest:
-    evaluate = map_chunk_evaluator(problem, nominal_power, point)
-    if combine is not None:
-        inner = evaluate
-        evaluate = lambda lo, hi: combine(inner(lo, hi))  # noqa: E731
-
-    return furthest_candidate(
-        evaluate, problem.n_maps, measure_from, pool=pool, workers=workers
-    )
 
 
 def iterate(
@@ -326,21 +268,17 @@ def iterate(
     if problem.n_maps > 0:
         mix = alpha_n * x + (1.0 - alpha_n) * beta_n * y_far
         scale = (1.0 - alpha_n) * (1.0 - beta_n)
+        mapped = map_chunk_evaluator(problem, nominal_power, y_far)
 
-        def affine_combine(s: np.ndarray) -> np.ndarray:
+        def evaluate(lo: int, hi: int) -> np.ndarray:
             # Chunk evaluator output is caller-owned: combine in place.
+            s = mapped(lo, hi)
             np.multiply(s, scale, out=s)
             np.add(s, mix, out=s)
             return s
 
-        z_sel = _map_phase(
-            problem,
-            nominal_power,
-            y_far,
-            x,
-            pool,
-            cfg.workers,
-            combine=affine_combine,
+        z_sel = furthest_candidate(
+            evaluate, problem.n_maps, x, pool=pool, workers=cfg.workers
         )
         z_far, j_far, res_z = z_sel.point, z_sel.index, z_sel.distance
     else:
@@ -370,7 +308,13 @@ def iterate(
     res_s: float | None = None
     if cfg.needs_map_residual:
         if problem.n_maps > 0:
-            res_s = _map_phase(problem, 1, x, x, pool, cfg.workers).distance
+            res_s = furthest_candidate(
+                map_chunk_evaluator(problem, 1, x),
+                problem.n_maps,
+                x,
+                pool=pool,
+                workers=cfg.workers,
+            ).distance
         else:
             res_s = 0.0
 
@@ -391,25 +335,6 @@ def iterate(
         t_project_ms=(t3 - t2) * 1e3,
     )
     return replace(state, n=n + 1, x=x_new, last=record)
-
-
-def residuals(state: SolverState, problem: ProblemFamily) -> ResidualTriple:
-    """Phase residuals of the last completed iteration.
-
-    Reuses the stored phase outputs; the mapping residual (power one, taken
-    at the iterate the phases started from) is computed on demand when the
-    iteration did not already need it.
-    """
-    record = state.last
-    if record is None:
-        raise ValueError("no iteration has completed yet")
-    res_s = record.res_s
-    if res_s is None:
-        if problem.n_maps > 0:
-            res_s = _map_phase(problem, 1, record.x_prev, record.x_prev, None, 1).distance
-        else:
-            res_s = 0.0
-    return ResidualTriple(res_y=record.res_y, res_z=record.res_z, res_s=res_s)
 
 
 def solve(

@@ -1,9 +1,11 @@
-"""Independent projection oracles used by the tests.
+"""Independent oracles used by the tests.
 
-Both oracles know nothing about the alternating-projection code path: the
-grid oracle minimizes the distance over a dense feasible grid with local
-refinement, and the enumeration oracle solves the box-plus-halfspaces
-projection exactly by checking every active set of size at most two.
+The projection oracles know nothing about the alternating-projection code
+path: the grid oracle minimizes the distance over a dense feasible grid with
+local refinement, and the enumeration oracle solves the box-plus-halfspaces
+projection exactly by checking every active set of size at most two. The
+selection oracle is the serial reference for the chunked parallel
+reduction.
 """
 
 from __future__ import annotations
@@ -135,6 +137,27 @@ def enumerate_project(nested, x0) -> np.ndarray:
                 best = c
     assert best is not None, "no feasible candidate; the instance is infeasible"
     return best
+
+
+def select_furthest(x, candidates) -> tuple[int, np.ndarray]:
+    """Index and value of the candidate furthest from ``x``, by a serial scan.
+
+    Ties break toward the smallest index, as in the parallel reduction.
+    """
+    xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if len(candidates) == 0:
+        raise ValueError("candidate list must be nonempty")
+    best_i = 0
+    best_d2 = -1.0
+    best_v = None
+    for i, candidate in enumerate(candidates):
+        cv = np.atleast_1d(np.asarray(candidate, dtype=np.float64))
+        if cv.shape != xv.shape:
+            raise ValueError("candidate dimension mismatch")
+        d2 = float(np.sum((cv - xv) ** 2))
+        if d2 > best_d2:
+            best_i, best_d2, best_v = i, d2, cv
+    return best_i, best_v
 
 
 def reference_trajectory(n_geps: int, n_maps: int, iters: int, x0: float = 1.0):

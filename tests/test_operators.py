@@ -19,7 +19,7 @@ from hybridproj.operators import (
     verify_family,
     zero_operator,
 )
-from hybridproj.problems import section4_bifunction, section4_map
+from hybridproj.problems import build_section4, section4_bifunction, section4_map
 
 BASE = Box(lo=[-1.0], hi=[1.0])
 
@@ -251,6 +251,59 @@ class TestProblemFamily:
         family = ProblemFamily.from_members(BASE, [], [s])
         assert family.has_asymptotic_maps
         assert family.k_seq(0) == pytest.approx(2.0)
+
+    def test_plain_map_sequence_ignored(self):
+        plain = PseudoContraction(map=lambda x: x, kappa=0.0, k_seq=lambda n: 2.0)
+        family = ProblemFamily.from_members(BASE, [], [plain])
+        assert family.k_seq(0) == 1.0 and family.k_seq(7) == 1.0
+        growing = PseudoContraction(
+            map=lambda x: x, kappa=0.0, asymptotic=True,
+            k_seq=lambda n: 1.0 + 1.0 / (n + 1),
+        )
+        mixed = ProblemFamily.from_members(BASE, [], [plain, growing])
+        assert mixed.k_seq(0) == 2.0
+        assert mixed.k_seq(3) == 1.25
+
+    def test_member_kernels_match_members(self):
+        geps = [
+            (section4_bifunction(-0.5), zero_operator()),
+            (ZeroBifunction(), affine_operator(1.0, [0.5])),
+            (section4_bifunction(0.2), zero_operator()),
+            (ZeroBifunction(), affine_operator(2.0, [-0.3])),
+            (section4_bifunction(0.6), zero_operator()),
+        ]
+        halving = PseudoContraction(
+            map=lambda x: 0.5 * x + 0.1, kappa=0.0, asymptotic=True
+        )
+        maps = [section4_map(1.5), halving, section4_map(1.25), halving,
+                section4_map(1.75)]
+        family = ProblemFamily.from_members(BASE, geps, maps)
+        lo, hi = 1, 5
+        for x in ([0.9], [0.35], [-0.4]):
+            x = np.array(x)
+            block = family.gep_kernel(lo, hi, 0.5, x)
+            assert block.shape == (hi - lo, 1)
+            for i in range(lo, hi):
+                f, A = geps[i]
+                np.testing.assert_array_equal(
+                    block[i - lo], resolvent(f, A, 0.5, x, BASE)
+                )
+            block = family.map_kernel(lo, hi, 3, x)
+            assert block.shape == (hi - lo, 1)
+            for j in range(lo, hi):
+                s = maps[j]
+                power = 3 if s.asymptotic else 1
+                np.testing.assert_array_equal(block[j - lo], apply_power(s, power, x))
+        # plain members run at power one, not at the nominal power
+        assert family.map_kernel(2, 3, 3, np.array([0.5]))[0, 0] == 0.5 - 1.25 * 0.25
+
+    def test_every_family_carries_kernels(self):
+        members = ProblemFamily.from_members(
+            BASE, [(ZeroBifunction(), zero_operator())], [identity_map()]
+        )
+        section4, _, _ = build_section4(3, 4)
+        for family in (members, section4):
+            assert callable(family.gep_kernel) and callable(family.map_kernel)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridproj.parallel import chunk_ranges, furthest_candidate
-from hybridproj.solver import select_furthest
+from oracles import select_furthest
 
 
 def test_chunk_ranges_cover_everything():

@@ -24,11 +24,9 @@ from hybridproj.solver import (
     ToleranceToReference,
     cut_relaxation,
     iterate,
-    residuals,
-    select_furthest,
     solve,
 )
-from oracles import reference_trajectory
+from oracles import reference_trajectory, select_furthest
 
 BASE = Box(lo=[-1.0], hi=[1.0])
 
@@ -260,24 +258,20 @@ class TestResiduals:
             BASE, [(ZeroBifunction(), zero_operator())], [identity_map()]
         )
         state = iterate(
-            initial_state([0.3]), family, flat_schedule(), SolverConfig()
+            initial_state([0.3]), family, flat_schedule(),
+            SolverConfig(record_history=True),
         )
-        r = residuals(state, family)
+        r = state.last
         assert r.res_y == 0.0 and r.res_z == 0.0 and r.res_s == 0.0
 
     def test_first_iteration_of_two_member_benchmark(self):
         family, sched, _ = build_section4(2, 2)
         state = iterate(
-            initial_state([1.0]), family, sched, SolverConfig()
+            initial_state([1.0]), family, sched, SolverConfig(record_history=True)
         )
-        r = residuals(state, family)
+        r = state.last
         assert r.res_y == pytest.approx(1.0 - (-1 / 3 + math.atan(4 / 3)), abs=1e-9)
         assert r.res_y >= 0 and r.res_z >= 0 and r.res_s >= 0
-
-    def test_requires_completed_iteration(self):
-        family, _, _ = build_section4(2, 2)
-        with pytest.raises(ValueError):
-            residuals(initial_state([1.0]), family)
 
 
 class TestRunInvariants:
