@@ -41,18 +41,36 @@ DEFAULT_MAX_SWEEPS = 10_000
 class ProjectionFailure(RuntimeError):
     """Projection sweep budget exhausted before reaching tolerance.
 
-    Carries the best iterate found so far and the last sweep displacement.
+    Carries the best iterate found so far and the last sweep displacement,
+    the number of cuts in the set and the sweeps run. ``iteration`` is the
+    solver iteration that projected, or None outside the solver.
     """
 
-    def __init__(self, message: str, best: np.ndarray, residual: float):
+    def __init__(self, message: str, best: np.ndarray, residual: float, *,
+                 iteration: int | None = None, cuts: int | None = None,
+                 sweeps: int | None = None):
         super().__init__(message)
         self.best = best
         self.residual = residual
+        self.iteration = iteration
+        self.cuts = cuts
+        self.sweeps = sweeps
 
 
 class InfeasibleSetError(RuntimeError):
     """The alternating projections stalled on a cycle that never becomes
-    feasible, which is the heuristic certificate for an empty intersection."""
+    feasible, which is the heuristic certificate for an empty intersection.
+
+    Carries the number of cuts in the set, the sweeps run and, inside the
+    solver, the iteration that projected.
+    """
+
+    def __init__(self, message: str, *, iteration: int | None = None,
+                 cuts: int | None = None, sweeps: int | None = None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.cuts = cuts
+        self.sweeps = sweeps
 
 
 def as_vector(x) -> np.ndarray:
@@ -259,7 +277,8 @@ def halfspace_from_iterate(x, zbar, eps: float = 0.0) -> Halfspace:
     """Halfspace form of the set ``{v : ||zbar - v||^2 <= ||x - v||^2 + eps}``.
 
     Expanding the squared norms gives the linear constraint
-    ``<2(x - zbar), v> <= ||x||^2 - ||zbar||^2 + eps``, which this returns.
+    ``<2(x - zbar), v> <= ||x||^2 - ||zbar||^2 + eps``, which this returns
+    with the offset in the equal form ``<2(x - zbar), (x + zbar)/2> + eps``.
     """
     xv = as_vector(x)
     zv = as_vector(zbar)
@@ -268,7 +287,9 @@ def halfspace_from_iterate(x, zbar, eps: float = 0.0) -> Halfspace:
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError("eps must be nonnegative and finite")
     normal = 2.0 * (xv - zv)
-    offset = float(xv @ xv) - float(zv @ zv) + eps
+    # ||x||^2 - ||zbar||^2 cancels catastrophically when zbar is close to x;
+    # <normal, (x + zbar)/2> is the same number without the cancellation.
+    offset = float(normal @ (0.5 * (xv + zv))) + eps
     return Halfspace(normal=normal, offset=offset)
 
 
@@ -328,7 +349,7 @@ def project_nested(
     stalled = 0
     prev_violation = math.inf
     step_max = math.inf
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         sweep_start = x
         step_max = 0.0
         for k, s in enumerate(sets):
@@ -353,7 +374,9 @@ def project_nested(
                     raise InfeasibleSetError(
                         "alternating projections cycle without becoming "
                         f"feasible; internal step {step_max:.3e}, violation "
-                        f"{violation:.3e}"
+                        f"{violation:.3e}",
+                        cuts=len(nested.cuts),
+                        sweeps=sweep,
                     )
             else:
                 stalled = 0
@@ -366,4 +389,6 @@ def project_nested(
         f"(last sweep moved {step_max:.3e})",
         best=x,
         residual=step_max,
+        cuts=len(nested.cuts),
+        sweeps=max_sweeps,
     )

@@ -1,12 +1,13 @@
 """Deterministic data-parallel candidate evaluation.
 
 Each solver phase evaluates a family of candidate points and selects the one
-furthest from the current iterate. The family is split into contiguous index
-chunks that worker threads evaluate independently; every candidate value and
-distance is computed elementwise, so it does not depend on the chunk layout.
-The reduction walks chunks in index order and keeps a strictly greater
-maximum, which reproduces a global first-occurrence argmax. Results are
-therefore identical for any worker count, including 1.
+furthest from a reference point. The family is split into contiguous index
+chunks; a family larger than one chunk runs on the worker threads, one
+chunk per task. Every candidate value and distance is computed elementwise,
+so it does not depend on the chunk layout. The reduction walks chunks in
+index order and keeps a strictly greater maximum, which reproduces a global
+first-occurrence argmax. Results are therefore identical for any worker
+count, including 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Furthest", "chunk_ranges", "furthest_candidate"]
+__all__ = ["Furthest", "chunk_ranges", "furthest_candidate", "squared_distances"]
 
 # Batch evaluator contract: evaluate(lo, hi) returns the candidate points for
 # members lo..hi-1 as an array of shape (hi - lo, d). The returned array is
@@ -52,14 +53,24 @@ def chunk_ranges(count: int, parts: int) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of ``points`` to ``x``.
+
+    One temporary, squared in place; the coordinate sum runs only when there
+    is more than one coordinate.
+    """
+    dist2 = points - x
+    np.square(dist2, out=dist2)
+    return dist2.sum(axis=1) if x.size > 1 else dist2.reshape(-1)
+
+
 def _chunk_best(evaluate: ChunkEvaluator, lo: int, hi: int, x: np.ndarray) -> Furthest:
     points = np.asarray(evaluate(lo, hi), dtype=np.float64)
     if points.shape != (hi - lo, x.size):
         raise ValueError(
             f"evaluator returned shape {points.shape}, expected {(hi - lo, x.size)}"
         )
-    diff = points - x
-    dist2 = np.einsum("ij,ij->i", diff, diff)
+    dist2 = squared_distances(points, x)
     k = int(np.argmax(dist2))
     return Furthest(index=lo + k, point=np.array(points[k]), dist2=float(dist2[k]))
 
@@ -78,7 +89,11 @@ def furthest_candidate(
     """
     if count <= 0:
         raise ValueError("candidate family must be nonempty")
-    parts = max(workers if pool is not None else 1, -(-count // TARGET_CHUNK_ROWS))
+    parts = -(-count // TARGET_CHUNK_ROWS)
+    # A family that fits in one chunk stays on the calling thread: pool
+    # dispatch costs more than splitting it saves.
+    if pool is not None and parts > 1:
+        parts = max(parts, workers)
     ranges = chunk_ranges(count, parts)
     if pool is None or len(ranges) == 1:
         results = [_chunk_best(evaluate, lo, hi, x) for lo, hi in ranges]

@@ -166,6 +166,7 @@ class Section4Spec:
 
     @cached_property
     def thresholds(self) -> np.ndarray:
+        """Strictly ascending; the closed-form resolvent kernel relies on it."""
         i = np.arange(1, self.n_geps + 1, dtype=np.float64)
         return -1.0 + 2.0 * i / (self.n_geps + 1)
 
@@ -202,12 +203,16 @@ def _section4_kernels(spec: Section4Spec):
             raise ValueError("closed-form benchmark kernel requires unit step r=1")
         point = float(x[0])
         xi = thresholds[lo:hi]
-        gap = point - xi
-        fixed = gap < 0.0
-        np.arctan(gap, out=gap)
-        gap += xi
-        gap[fixed] = point
-        return gap.reshape(-1, 1)
+        # Thresholds ascend, so the members that fix the point (xi > point)
+        # form a suffix of the chunk.
+        split = int(np.searchsorted(xi, point, side="right"))
+        out = np.empty((hi - lo, 1))
+        moved = out[:split, 0]
+        np.subtract(point, xi[:split], out=moved)
+        np.arctan(moved, out=moved)
+        moved += xi[:split]
+        out[split:] = point
+        return out
 
     def map_kernel(lo: int, hi: int, power: int, v: np.ndarray) -> np.ndarray:
         # Members are plain pseudocontractions: effective power is one.

@@ -33,7 +33,7 @@ from .geometry import (
     project_nested,
 )
 from .operators import ProblemFamily, gep_chunk_evaluator, map_chunk_evaluator
-from .parallel import furthest_candidate
+from .parallel import furthest_candidate, squared_distances
 
 __all__ = [
     "ParamSchedule",
@@ -86,28 +86,20 @@ class ParamSchedule:
             problems.append(
                 f"e={self.e!r} must stay below twice the modulus {ism_alpha!r}"
             )
-        for n in range(min(count, SCHEDULE_PREFIX_CAP)):
-            a = self.alpha_fn(n)
-            if not (0.0 < a < 1.0):
-                problems.append(f"alpha_{n}={a!r} outside (0, 1)")
-                break
-        for n in range(min(count, SCHEDULE_PREFIX_CAP)):
-            beta = self.beta_fn(n)
-            if not (kappa <= beta <= self.b):
-                problems.append(
-                    f"beta_{n}={beta!r} outside [kappa={kappa!r}, b={self.b!r}]"
-                )
-                break
-        for n in range(min(count, SCHEDULE_PREFIX_CAP)):
-            r = self.r_fn(n)
-            if not (self.d <= r <= self.e):
-                problems.append(f"r_{n}={r!r} outside [d={self.d!r}, e={self.e!r}]")
-                break
-        for n in range(min(count, SCHEDULE_PREFIX_CAP)):
-            k = self.k_fn(n)
-            if not k >= 1.0:
-                problems.append(f"k_{n}={k!r} below 1")
-                break
+        prefixes = (
+            ("alpha", self.alpha_fn, lambda v: 0.0 < v < 1.0, "outside (0, 1)"),
+            ("beta", self.beta_fn, lambda v: kappa <= v <= self.b,
+             f"outside [kappa={kappa!r}, b={self.b!r}]"),
+            ("r", self.r_fn, lambda v: self.d <= v <= self.e,
+             f"outside [d={self.d!r}, e={self.e!r}]"),
+            ("k", self.k_fn, lambda v: v >= 1.0, "below 1"),
+        )
+        for name, fn, admissible, bounds in prefixes:
+            for n in range(min(count, SCHEDULE_PREFIX_CAP)):
+                value = fn(n)
+                if not admissible(value):
+                    problems.append(f"{name}_{n}={value!r} {bounds}")
+                    break
         return problems
 
 
@@ -241,8 +233,8 @@ def iterate(
 
     The two candidate phases evaluate their members in parallel chunks with
     a deterministic index-ordered reduction, so the output is identical for
-    any worker count. Projection failures propagate annotated with the
-    iteration index.
+    any worker count. Projection failures propagate with the iteration
+    index in their message and in their ``iteration`` attribute.
     """
     n = state.n
     x = state.x
@@ -268,19 +260,20 @@ def iterate(
     if problem.n_maps > 0:
         mix = alpha_n * x + (1.0 - alpha_n) * beta_n * y_far
         scale = (1.0 - alpha_n) * (1.0 - beta_n)
-        mapped = map_chunk_evaluator(problem, nominal_power, y_far)
-
-        def evaluate(lo: int, hi: int) -> np.ndarray:
-            # Chunk evaluator output is caller-owned: combine in place.
-            s = mapped(lo, hi)
-            np.multiply(s, scale, out=s)
-            np.add(s, mix, out=s)
-            return s
-
-        z_sel = furthest_candidate(
-            evaluate, problem.n_maps, x, pool=pool, workers=cfg.workers
+        # Candidate j is scale * s_j + mix with scale > 0, so its distance
+        # to x is scale * ||s_j - c||: rank the mapped points against c and
+        # combine only the winner.
+        c = (x - mix) / scale
+        s_sel = furthest_candidate(
+            map_chunk_evaluator(problem, nominal_power, y_far),
+            problem.n_maps,
+            c,
+            pool=pool,
+            workers=cfg.workers,
         )
-        z_far, j_far, res_z = z_sel.point, z_sel.index, z_sel.distance
+        z_far = s_sel.point * scale + mix
+        j_far = s_sel.index
+        res_z = math.sqrt(squared_distances(z_far[np.newaxis], x)[0])
     else:
         z_far = alpha_n * x + (1.0 - alpha_n) * y_far
         j_far = -1
@@ -299,10 +292,13 @@ def iterate(
         )
     except ProjectionFailure as err:
         raise ProjectionFailure(
-            f"iteration {n}: {err}", err.best, err.residual
+            f"iteration {n}: {err}", err.best, err.residual,
+            iteration=n, cuts=err.cuts, sweeps=err.sweeps,
         ) from err
     except InfeasibleSetError as err:
-        raise InfeasibleSetError(f"iteration {n}: {err}") from err
+        raise InfeasibleSetError(
+            f"iteration {n}: {err}", iteration=n, cuts=err.cuts, sweeps=err.sweeps
+        ) from err
     t3 = time.perf_counter()
 
     res_s: float | None = None

@@ -158,12 +158,16 @@ class TestProjectNested:
             project_nested(nested, x0, tol=1e-15, max_sweeps=1)
         assert err.value.best is not None
         assert err.value.residual >= 0
+        assert (err.value.iteration, err.value.cuts, err.value.sweeps) == (None, 4, 1)
 
     def test_infeasible_detection(self):
         nested = NestedSet(base=box1d())
         nested.add_cut(Halfspace(normal=np.array([1.0]), offset=-2.0))
-        with pytest.raises(InfeasibleSetError):
+        with pytest.raises(InfeasibleSetError) as err:
             project_nested(nested, [0.0])
+        assert err.value.iteration is None
+        assert err.value.cuts == 1
+        assert 5 <= err.value.sweeps < 10_000
 
 
 class TestProjectionInequalities:

@@ -3,7 +3,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from hybridproj.parallel import chunk_ranges, furthest_candidate
+from hybridproj.parallel import (
+    TARGET_CHUNK_ROWS,
+    _chunk_best,
+    chunk_ranges,
+    furthest_candidate,
+)
 from oracles import select_furthest
 
 
@@ -21,7 +26,9 @@ def test_chunk_ranges_empty():
     assert chunk_ranges(0, 4) == []
 
 
-def test_matches_sequential_selection():
+def test_matches_sequential_selection(monkeypatch):
+    # Small chunks, so that the pooled run splits the family across threads.
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
     rng = np.random.default_rng(23)
     points = rng.uniform(-1, 1, size=(501, 3))
     x = rng.uniform(-1, 1, 3)
@@ -37,7 +44,8 @@ def test_matches_sequential_selection():
     np.testing.assert_array_equal(parallel.point, got.point)
 
 
-def test_identical_across_worker_counts():
+def test_identical_across_worker_counts(monkeypatch):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 1000)
     rng = np.random.default_rng(29)
     points = rng.uniform(-5, 5, size=(10_000, 2))
     x = np.zeros(2)
@@ -66,3 +74,48 @@ def test_empty_family_rejected():
 def test_bad_evaluator_shape():
     with pytest.raises(ValueError):
         furthest_candidate(lambda lo, hi: np.zeros((hi - lo, 2)), 5, np.zeros(1))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_chunk_best_matches_oracle(d):
+    rng = np.random.default_rng(31 + d)
+    points = rng.uniform(-1, 1, size=(300, d))
+    x = rng.uniform(-1, 1, d)
+    lo, hi = 40, 260
+    got = _chunk_best(lambda a, b: points[a:b].copy(), lo, hi, x)
+    expected_i, expected_v = select_furthest(x, list(points[lo:hi]))
+    assert got.index == lo + expected_i
+    np.testing.assert_array_equal(got.point, expected_v)
+    assert got.dist2 == pytest.approx(float(np.sum((expected_v - x) ** 2)), rel=1e-15)
+
+
+@pytest.mark.parametrize("count", [1000, TARGET_CHUNK_ROWS])
+def test_single_chunk_family_stays_on_calling_thread(count):
+    points = np.random.default_rng(37).uniform(-1, 1, size=(count, 1))
+    x = np.zeros(1)
+    calls = []
+
+    def evaluate(lo, hi):
+        calls.append((lo, hi))
+        return points[lo:hi].copy()
+
+    serial = furthest_candidate(evaluate, count, x)
+    calls.clear()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = furthest_candidate(evaluate, count, x, pool=pool, workers=2)
+    assert calls == [(0, count)]
+    assert (pooled.index, pooled.dist2) == (serial.index, serial.dist2)
+    np.testing.assert_array_equal(pooled.point, serial.point)
+
+
+def test_large_family_splits_across_workers():
+    count = TARGET_CHUNK_ROWS + 1
+    calls = []
+
+    def evaluate(lo, hi):
+        calls.append((lo, hi))
+        return np.zeros((hi - lo, 1))
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        furthest_candidate(evaluate, count, np.zeros(1), pool=pool, workers=2)
+    assert sorted(calls) == chunk_ranges(count, 2)

@@ -46,6 +46,11 @@ class TestSection4Spec:
         with pytest.raises(ValueError):
             Section4Spec(n_geps=0, n_maps=1)
 
+    @pytest.mark.parametrize("n_geps", [1, 2, 3, 1000, 2_000_000])
+    def test_thresholds_ascend_strictly(self, n_geps):
+        # The closed-form resolvent kernel relies on this order.
+        assert np.all(np.diff(Section4Spec(n_geps=n_geps, n_maps=1).thresholds) > 0)
+
 
 class TestBuildSection4:
     def test_member_counts_and_constants(self):
@@ -89,6 +94,20 @@ class TestBuildSection4:
                 np.testing.assert_allclose(
                     block[j], family.maps[j](v), atol=0, rtol=0
                 )
+
+    @pytest.mark.parametrize("where", ["below", "above", "on", "inside"])
+    def test_kernel_matches_masked_formula(self, where):
+        # The kernel splits each chunk at the first fixed member; the plain
+        # form evaluates arctan everywhere and masks the fixed members.
+        family, _, _ = build_section4(50, 4)
+        xi = Section4Spec(n_geps=50, n_maps=4).thresholds
+        lo, hi = 7, 31
+        point = {"below": -0.99, "above": 0.99, "on": xi[19], "inside": 0.123}[where]
+        gap = point - xi[lo:hi]
+        expected = np.where(gap < 0.0, point, np.arctan(gap) + xi[lo:hi])
+        got = family.gep_kernel(lo, hi, 1.0, np.array([point]))
+        assert got.shape == (hi - lo, 1)
+        np.testing.assert_array_equal(got[:, 0], expected)
 
     def test_kernel_requires_unit_step(self):
         family, _, _ = build_section4(4, 4)

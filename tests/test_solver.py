@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybridproj.geometry import Box, contains
+from hybridproj.geometry import (
+    Box,
+    Halfspace,
+    InfeasibleSetError,
+    NestedSet,
+    ProjectionFailure,
+    contains,
+)
 from hybridproj.operators import (
     ProblemFamily,
     PseudoContraction,
@@ -45,8 +52,6 @@ def flat_schedule(beta=0.0, r=1.0, k=1.0, omega=1.0, b=0.5, d=None, e=None):
 
 
 def initial_state(x0, base=BASE):
-    from hybridproj.geometry import NestedSet
-
     v = np.asarray(x0, dtype=np.float64)
     return SolverState(n=0, x=v, x0=v, nested=NestedSet(base=base))
 
@@ -145,6 +150,21 @@ class TestIterate:
         assert all(cut.is_degenerate for cut in state.nested.cuts)
         assert len(state.nested.cuts) == 3
 
+    def test_tail_cut_boundary_is_midpoint(self):
+        # Convergence tail of the benchmark: x sits 1e-5 above xi_1 and the
+        # averaging weight is small, so z_far lies a few ulp below x.
+        family, sched, xi_1 = build_section4(4, 4)
+        sched = replace(sched, alpha_fn=lambda n: 1e-6)
+        state = iterate(
+            initial_state([xi_1 + 1e-5]), family, sched, SolverConfig()
+        )
+        (cut,) = state.nested.cuts
+        assert not cut.is_degenerate
+        midpoint = 0.5 * (state.last.x_prev[0] + state.last.z_far[0])
+        boundary = cut.offset / cut.normal[0]
+        assert abs(boundary - midpoint) <= 4 * abs(np.spacing(midpoint))
+        assert cut.contains(np.array([xi_1]), tol=0.0)
+
     def test_worker_count_invariance(self):
         family, sched, _ = build_section4(64, 96)
         runs = {}
@@ -183,6 +203,82 @@ class TestIterate:
         for a, b in zip(runs[0].history, runs[1].history):
             assert np.array_equal(a.z_far, b.z_far)
             assert a.eps == 0.0 and b.eps == 0.0
+
+
+def table_family(y_rows, s_rows):
+    """d-dimensional family whose candidates are fixed tables: resolvent i
+    returns ``y_rows[i]``, and mapping j sends v to ``s_rows[j] + v / 2``."""
+    d = y_rows.shape[1]
+    return ProblemFamily(
+        base=Box(lo=-np.ones(d), hi=np.ones(d)),
+        geps=[None] * len(y_rows),
+        maps=[None] * len(s_rows),
+        alpha=math.inf,
+        kappa=0.0,
+        k_seq=lambda n: 1.0,
+        gep_kernel=lambda lo, hi, r, x: y_rows[lo:hi].copy(),
+        map_kernel=lambda lo, hi, power, v: s_rows[lo:hi] + 0.5 * v,
+    )
+
+
+class TestMappingPhase:
+    """Phase 3 ranks the raw mapped points; the oracle combines every
+    candidate ``alpha x + (1 - alpha)(beta y + (1 - beta) s_j)`` first."""
+
+    N = 3
+    SCHED = flat_schedule(beta=0.3)
+
+    def check_against_combined_oracle(self, family, x):
+        state = SolverState(n=self.N, x=x, x0=x, nested=NestedSet(base=family.base))
+        record = iterate(state, family, self.SCHED, SolverConfig()).last
+        alpha, beta = self.SCHED.alpha_fn(self.N), self.SCHED.beta_fn(self.N)
+        s = family.map_kernel(0, family.n_maps, 1, record.y_far)
+        mix = alpha * x + (1.0 - alpha) * beta * record.y_far
+        z = s * ((1.0 - alpha) * (1.0 - beta)) + mix
+        j, z_j = select_furthest(x, list(z))
+        assert record.j_far == j
+        np.testing.assert_array_equal(record.z_far, z_j)
+        assert record.res_z == pytest.approx(
+            math.sqrt(float(np.sum((z_j - x) ** 2))), rel=1e-15
+        )
+        return j
+
+    def test_random_d2_families_match_combined_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            family = table_family(
+                rng.uniform(-1, 1, (7, 2)), rng.uniform(-1, 1, (300, 2))
+            )
+            self.check_against_combined_oracle(family, rng.uniform(-0.5, 0.5, 2))
+
+    def test_duplicate_maps_pick_first_index(self):
+        rng = np.random.default_rng(43)
+        s_rows = np.repeat(rng.uniform(-1, 1, (5, 2)), 4, axis=0)
+        family = table_family(rng.uniform(-1, 1, (3, 2)), s_rows)
+        j = self.check_against_combined_oracle(family, np.array([0.1, -0.2]))
+        assert j % 4 == 0
+
+
+class TestStructuredFailures:
+    def test_sweep_budget_carries_iteration_and_counts(self):
+        family, sched, _ = build_section4(4, 4)
+        cfg = SolverConfig(max_iter=3, projection_max_sweeps=1)
+        with pytest.raises(ProjectionFailure) as err:
+            solve(family, sched, cfg, [1.0])
+        assert str(err.value).startswith("iteration 0: projection did not reach")
+        assert (err.value.iteration, err.value.cuts, err.value.sweeps) == (0, 1, 1)
+        assert err.value.best is not None
+
+    def test_infeasible_set_carries_iteration_and_counts(self):
+        family, sched, _ = build_section4(4, 4)
+        state = replace(initial_state([1.0]), n=5)
+        state.nested.add_cut(Halfspace(normal=np.array([1.0]), offset=-2.0))
+        with pytest.raises(InfeasibleSetError) as err:
+            iterate(state, family, sched, SolverConfig())
+        assert str(err.value).startswith("iteration 5: alternating projections cycle")
+        assert err.value.iteration == 5
+        assert err.value.cuts == 2
+        assert 5 <= err.value.sweeps < SolverConfig().projection_max_sweeps
 
 
 class TestSolve:
