@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "HYBRIDPROJ_WORKERS"
+# Solves per worker count in ``bench``; odd, so the median is one solve.
+BENCH_ROUNDS = 5
 HISTORY_COLUMNS = (
     "n",
     "x_norm",
@@ -484,8 +486,11 @@ def bench(config: RunConfig, worker_list: Sequence[int],
           *, out: str | None = None) -> int:
     """Repeat the configured run per worker count and tabulate timings.
 
+    Each worker count is solved ``BENCH_ROUNDS`` times, the counts taking
+    turns round by round, and its row reports the solve with the median
+    wall time; ``speedup`` divides the first row's median by each row's.
     Final iterates (and histories, when recorded) must be identical across
-    rows; timing columns are measured, never compared.
+    every solve; timing columns are measured, never compared.
     """
     worker_list = list(worker_list)
     if not worker_list:
@@ -495,23 +500,26 @@ def bench(config: RunConfig, worker_list: Sequence[int],
         _emit_error("invalid-config", "worker counts must be positive")
         return EXIT_INVALID_CONFIG
 
-    reports: list[Report] = []
+    built = []
     for w in worker_list:
         try:
-            built = build_inputs(config, w)
+            built.append(build_inputs(config, w))
         except ConfigError as err:
             _emit_error("invalid-config", str(err))
             return EXIT_INVALID_CONFIG
-        try:
-            reports.append(
-                solve(built.family, built.schedule, built.solver_config, built.x0)
-            )
-        except (ProjectionFailure, InfeasibleSetError, ValueError, RuntimeError) as err:
-            _emit_error("solver-failure", str(err))
-            return EXIT_SOLVER_FAILURE
+    runs: list[list[Report]] = [[] for _ in worker_list]
+    for _ in range(BENCH_ROUNDS):
+        for inputs, solves in zip(built, runs):
+            try:
+                solves.append(solve(inputs.family, inputs.schedule,
+                                    inputs.solver_config, inputs.x0))
+            except (ProjectionFailure, InfeasibleSetError, ValueError,
+                    RuntimeError) as err:
+                _emit_error("solver-failure", str(err))
+                return EXIT_SOLVER_FAILURE
 
-    head = reports[0]
-    for other in reports[1:]:
+    head = runs[0][0]
+    for other in (report for solves in runs for report in solves):
         if not np.array_equal(head.final_x, other.final_x):
             _emit_error(
                 "determinism-violation",
@@ -527,6 +535,8 @@ def bench(config: RunConfig, worker_list: Sequence[int],
             )
             return EXIT_SOLVER_FAILURE
 
+    reports = [sorted(solves, key=lambda r: r.wall_time_s)[BENCH_ROUNDS // 2]
+               for solves in runs]
     rows = []
     for report in reports:
         rows.append(
@@ -537,6 +547,7 @@ def bench(config: RunConfig, worker_list: Sequence[int],
                 "t_phase1_ms": sum(r.t_phase1_ms for r in report.history),
                 "t_phase3_ms": sum(r.t_phase3_ms for r in report.history),
                 "t_project_ms": sum(r.t_project_ms for r in report.history),
+                "t_residual_ms": sum(r.t_residual_ms for r in report.history),
                 "speedup": reports[0].wall_time_s / report.wall_time_s,
             }
         )

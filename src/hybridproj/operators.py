@@ -188,7 +188,10 @@ def identity_map() -> PseudoContraction:
 #   gep kernel: (lo, hi, r, x) -> resolvent candidates, shape (hi - lo, d)
 #   map kernel: (lo, hi, nominal_power, point) -> mapped points, shape (hi - lo, d);
 # a map kernel applies each member at its effective power (plain members
-# always 1). Returned arrays are new and owned by the caller.
+# always 1). Either kernel may return only the first k < hi - lo rows when
+# every member past them leaves its input unchanged: T_r(x - r A x) = x for
+# a gep member, S_j(point) = point for a mapping. Returned arrays are new
+# and owned by the caller.
 GepKernel = Callable[[int, int, float, np.ndarray], np.ndarray]
 MapKernel = Callable[[int, int, int, np.ndarray], np.ndarray]
 

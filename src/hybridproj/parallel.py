@@ -21,8 +21,11 @@ import numpy as np
 __all__ = ["Furthest", "chunk_ranges", "furthest_candidate", "squared_distances"]
 
 # Batch evaluator contract: evaluate(lo, hi) returns the candidate points for
-# members lo..hi-1 as an array of shape (hi - lo, d). The returned array is
-# owned by the caller and may be mutated.
+# members lo..lo+k-1 as an array of shape (k, d) with k <= hi - lo. Members
+# lo+k..hi-1 map the evaluation point to itself, so a full chunk would hold
+# that point in each of their rows; k < hi - lo needs the caller to pass
+# that point to furthest_candidate. The returned array is owned by the
+# caller and may be mutated.
 ChunkEvaluator = Callable[[int, int], np.ndarray]
 
 # Cap on rows per chunk. Keeping chunk temporaries a few megabytes large lets
@@ -64,31 +67,56 @@ def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dist2.sum(axis=1) if x.size > 1 else dist2.reshape(-1)
 
 
-def _chunk_best(evaluate: ChunkEvaluator, lo: int, hi: int, x: np.ndarray) -> Furthest:
+def _chunk_best(
+    evaluate: ChunkEvaluator, lo: int, hi: int, x: np.ndarray,
+    fixed: np.ndarray | None = None,
+) -> Furthest:
     points = np.asarray(evaluate(lo, hi), dtype=np.float64)
-    if points.shape != (hi - lo, x.size):
+    if points.ndim != 2 or points.shape[1] != x.size or points.shape[0] > hi - lo:
         raise ValueError(
             f"evaluator returned shape {points.shape}, expected {(hi - lo, x.size)}"
         )
-    dist2 = squared_distances(points, x)
-    k = int(np.argmax(dist2))
-    return Furthest(index=lo + k, point=np.array(points[k]), dist2=float(dist2[k]))
+    k = points.shape[0]
+    if k < hi - lo and fixed is None:
+        raise ValueError(
+            f"evaluator returned {k} of {hi - lo} rows and no fixed point was given"
+        )
+    best = None
+    if k > 0:
+        dist2 = squared_distances(points, x)
+        i = int(np.argmax(dist2))
+        best = Furthest(index=lo + i, point=np.array(points[i]), dist2=float(dist2[i]))
+    if k < hi - lo:
+        # Every tail row equals ``fixed``: its first index is the tail's
+        # argmax, and it must beat the head strictly to keep ties earlier.
+        tail2 = float(squared_distances(fixed[np.newaxis], x)[0])
+        if best is None or tail2 > best.dist2:
+            best = Furthest(index=lo + k, point=np.array(fixed), dist2=tail2)
+    return best
 
 
 def furthest_candidate(
     evaluate: ChunkEvaluator,
     count: int,
     x: np.ndarray,
+    fixed: np.ndarray | None = None,
     pool: ThreadPoolExecutor | None = None,
     workers: int = 1,
 ) -> Furthest:
     """Evaluate ``count`` candidates and return the furthest one from ``x``.
 
     Ties break toward the smallest index. When a pool is given the chunks run
-    on its threads; the reduction order stays fixed either way.
+    on its threads; the reduction order stays fixed either way. ``fixed`` is
+    the point the evaluator's members are applied to: an evaluator may then
+    stop a chunk early, and each member it leaves out counts as the
+    candidate ``fixed``. Without it every chunk must come back full.
     """
     if count <= 0:
         raise ValueError("candidate family must be nonempty")
+    if fixed is not None:
+        fixed = np.asarray(fixed, dtype=np.float64)
+        if fixed.shape != x.shape:
+            raise ValueError(f"fixed point has shape {fixed.shape}, expected {x.shape}")
     parts = -(-count // TARGET_CHUNK_ROWS)
     # A family that fits in one chunk stays on the calling thread: pool
     # dispatch costs more than splitting it saves.
@@ -96,9 +124,11 @@ def furthest_candidate(
         parts = max(parts, workers)
     ranges = chunk_ranges(count, parts)
     if pool is None or len(ranges) == 1:
-        results = [_chunk_best(evaluate, lo, hi, x) for lo, hi in ranges]
+        results = [_chunk_best(evaluate, lo, hi, x, fixed) for lo, hi in ranges]
     else:
-        futures = [pool.submit(_chunk_best, evaluate, lo, hi, x) for lo, hi in ranges]
+        futures = [
+            pool.submit(_chunk_best, evaluate, lo, hi, x, fixed) for lo, hi in ranges
+        ]
         results = [f.result() for f in futures]
     best = results[0]
     for candidate in results[1:]:

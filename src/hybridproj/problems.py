@@ -204,22 +204,19 @@ def _section4_kernels(spec: Section4Spec):
         point = float(x[0])
         xi = thresholds[lo:hi]
         # Thresholds ascend, so the members that fix the point (xi > point)
-        # form a suffix of the chunk.
+        # form a suffix of the chunk; only the moved prefix is returned.
         split = int(np.searchsorted(xi, point, side="right"))
-        out = np.empty((hi - lo, 1))
-        moved = out[:split, 0]
-        np.subtract(point, xi[:split], out=moved)
+        moved = point - xi[:split]
         np.arctan(moved, out=moved)
         moved += xi[:split]
-        out[split:] = point
-        return out
+        return moved.reshape(-1, 1)
 
     def map_kernel(lo: int, hi: int, power: int, v: np.ndarray) -> np.ndarray:
-        # Members are plain pseudocontractions: effective power is one.
+        # Members are plain pseudocontractions: effective power is one. Every
+        # member fixes a negative point, so none is returned for one.
         point = float(v[0])
-        m = hi - lo
         if point < 0.0:
-            return np.full((m, 1), point)
+            return np.empty((0, 1))
         s = coefficients[lo:hi] * (-point * point)
         s += point
         return s.reshape(-1, 1)

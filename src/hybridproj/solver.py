@@ -181,6 +181,8 @@ class IterationRecord:
     t_phase1_ms: float
     t_phase3_ms: float
     t_project_ms: float
+    # The mapping residual pass; 0.0 when it is skipped.
+    t_residual_ms: float
 
 
 @dataclass(frozen=True)
@@ -248,6 +250,7 @@ def iterate(
             gep_chunk_evaluator(problem, r_n, x),
             problem.n_geps,
             x,
+            fixed=x,
             pool=pool,
             workers=cfg.workers,
         )
@@ -268,6 +271,7 @@ def iterate(
             map_chunk_evaluator(problem, nominal_power, y_far),
             problem.n_maps,
             c,
+            fixed=y_far,
             pool=pool,
             workers=cfg.workers,
         )
@@ -308,11 +312,15 @@ def iterate(
                 map_chunk_evaluator(problem, 1, x),
                 problem.n_maps,
                 x,
+                fixed=x,
                 pool=pool,
                 workers=cfg.workers,
             ).distance
         else:
             res_s = 0.0
+        t_residual_ms = (time.perf_counter() - t3) * 1e3
+    else:
+        t_residual_ms = 0.0
 
     record = IterationRecord(
         n=n,
@@ -329,6 +337,7 @@ def iterate(
         t_phase1_ms=(t1 - t0) * 1e3,
         t_phase3_ms=(t2 - t1) * 1e3,
         t_project_ms=(t3 - t2) * 1e3,
+        t_residual_ms=t_residual_ms,
     )
     return replace(state, n=n + 1, x=x_new, last=record)
 

@@ -5,7 +5,8 @@ path: the grid oracle minimizes the distance over a dense feasible grid with
 local refinement, and the enumeration oracle solves the box-plus-halfspaces
 projection exactly by checking every active set of size at most two. The
 selection oracle is the serial reference for the chunked parallel
-reduction.
+reduction, and ``full_chunk`` expands a kernel's short chunk into the rows
+it stands for.
 """
 
 from __future__ import annotations
@@ -158,6 +159,19 @@ def select_furthest(x, candidates) -> tuple[int, np.ndarray]:
         if d2 > best_d2:
             best_i, best_d2, best_v = i, d2, cv
     return best_i, best_v
+
+
+def full_chunk(head, rows: int, point) -> np.ndarray:
+    """The ``rows`` candidates a chunk kernel's ``head`` stands for.
+
+    Members past the returned head leave the evaluation ``point`` unchanged,
+    so each of their rows is that point.
+    """
+    head = np.asarray(head, dtype=np.float64)
+    pv = np.atleast_1d(np.asarray(point, dtype=np.float64))
+    if head.ndim != 2 or head.shape[1] != pv.size or head.shape[0] > rows:
+        raise ValueError(f"head of shape {head.shape} cannot stand for {rows} rows")
+    return np.vstack([head, np.tile(pv, (rows - head.shape[0], 1))])
 
 
 def reference_trajectory(n_geps: int, n_maps: int, iters: int, x0: float = 1.0):

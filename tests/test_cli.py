@@ -1,13 +1,16 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+from hybridproj import cli
 from hybridproj.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_OK,
     EXIT_SOLVER_FAILURE,
     EXIT_VALIDATION_FAILURE,
+    BENCH_ROUNDS,
     HISTORY_COLUMNS,
     ConfigError,
     RunConfig,
@@ -222,6 +225,44 @@ class TestBench:
             rows = list(csv.DictReader(handle))
         assert [int(r["workers"]) for r in rows] == [1, 2]
         assert float(rows[0]["speedup"]) == 1.0
+
+    def test_rows_report_median_of_interleaved_rounds(self, tmp_path, monkeypatch):
+        # Solves alternate workers=1, workers=2 each round; the wall times
+        # below give medians 3.0 and 4.0.
+        walls = iter([5.0, 8.0, 1.0, 4.0, 3.0, 2.0, 2.0, 6.0, 4.0, 1.0])
+        real_solve = cli.solve
+
+        def fake_solve(*args):
+            return replace(real_solve(*args), wall_time_s=next(walls))
+
+        monkeypatch.setattr(cli, "solve", fake_solve)
+        assert BENCH_ROUNDS == 5
+        out = tmp_path / "bench"
+        cfg = write_config(tmp_path, small_benchmark_config(max_iter=5))
+        assert main(["bench", "--config", cfg, "--workers-list", "1,2",
+                     "--out", str(out)]) == EXIT_OK
+        with (out / "bench.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [float(r["wall_time_s"]) for r in rows] == [3.0, 4.0]
+        assert [float(r["speedup"]) for r in rows] == [1.0, 0.75]
+        assert all(float(r["t_residual_ms"]) > 0.0 for r in rows)
+
+    def test_every_solve_checked_for_determinism(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real_solve = cli.solve
+
+        def fake_solve(*args):
+            report = real_solve(*args)
+            calls.append(report)
+            if len(calls) == 3:  # the second solve at one worker drifts
+                report = replace(report, final_x=report.final_x + 1e-15)
+            return report
+
+        monkeypatch.setattr(cli, "solve", fake_solve)
+        cfg = write_config(tmp_path, small_benchmark_config(max_iter=5))
+        code = main(["bench", "--config", cfg, "--workers-list", "1,2"])
+        assert code == EXIT_SOLVER_FAILURE
+        assert "determinism-violation" in capsys.readouterr().err
 
     def test_empty_worker_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path, small_benchmark_config(max_iter=2))

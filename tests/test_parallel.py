@@ -9,7 +9,7 @@ from hybridproj.parallel import (
     chunk_ranges,
     furthest_candidate,
 )
-from oracles import select_furthest
+from oracles import full_chunk, select_furthest
 
 
 def test_chunk_ranges_cover_everything():
@@ -119,3 +119,97 @@ def test_large_family_splits_across_workers():
     with ThreadPoolExecutor(max_workers=2) as pool:
         furthest_candidate(evaluate, count, np.zeros(1), pool=pool, workers=2)
     assert sorted(calls) == chunk_ranges(count, 2)
+
+
+def short_evaluator(points, moving, fixed):
+    """Evaluator for members ``points[i]`` where ``moving[i]``, ``fixed``
+    elsewhere: each chunk stops after its last moving member."""
+
+    def evaluate(lo, hi):
+        last = np.flatnonzero(moving[lo:hi])
+        k = int(last[-1]) + 1 if last.size else 0
+        return np.where(moving[lo:lo + k, None], points[lo:lo + k], fixed)
+
+    return evaluate
+
+
+def test_empty_head_tail_wins_at_lo():
+    x = np.array([0.5, -0.25])
+    fixed = np.array([2.0, 1.0])
+    got = _chunk_best(lambda lo, hi: np.empty((0, 2)), 5, 9, x, fixed)
+    assert got.index == 5
+    np.testing.assert_array_equal(got.point, fixed)
+    assert got.dist2 == float(np.sum((fixed - x) ** 2))
+
+
+@pytest.mark.parametrize(
+    "tail, expected_index",
+    [(0.25, 11), (-3.0, 13), (-2.0, 11)],
+    ids=["tail_loses", "tail_wins", "tie_keeps_head"],
+)
+def test_partial_head_matches_full_chunk(tail, expected_index):
+    # x = 0 and the head's furthest row is 2.0 at index 11, so a tail of
+    # -2.0 ties and must lose to the earlier head row.
+    lo, hi = 10, 20
+    head = np.array([[1.0], [2.0], [-1.5]])
+    x, fixed = np.zeros(1), np.array([tail])
+    got = _chunk_best(lambda a, b: head.copy(), lo, hi, x, fixed)
+    full = full_chunk(head, hi - lo, fixed)
+    expected_i, expected_v = select_furthest(x, list(full))
+    assert got.index == lo + expected_i == expected_index
+    np.testing.assert_array_equal(got.point, expected_v)
+    whole = _chunk_best(lambda a, b: full.copy(), lo, hi, x)
+    assert (got.index, got.dist2) == (whole.index, whole.dist2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 17, 40])
+def test_short_chunk_bitwise_equal_to_full_chunk_d3(k):
+    rng = np.random.default_rng(41 + k)
+    lo, hi = 100, 140
+    x = rng.uniform(-1, 1, 3)
+    for scale in (0.1, 10.0):  # tail loses, tail wins
+        head = rng.uniform(-1, 1, size=(k, 3))
+        fixed = x + scale * rng.uniform(-1, 1, 3)
+        full = full_chunk(head, hi - lo, fixed)
+        short = _chunk_best(lambda a, b: head.copy(), lo, hi, x, fixed)
+        whole = _chunk_best(lambda a, b: full.copy(), lo, hi, x)
+        assert short.index == whole.index
+        assert short.dist2 == whole.dist2
+        np.testing.assert_array_equal(short.point, whole.point)
+
+
+def test_short_chunks_identical_across_worker_counts(monkeypatch):
+    # 3 chunks serially, 8 with 8 workers: the short chunks move with the
+    # layout, the selected member must not.
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 400)
+    rng = np.random.default_rng(43)
+    count = 1000
+    points = rng.uniform(-2, 2, size=(count, 2))
+    moving = rng.uniform(size=count) < 0.3
+    moving[600:] = False
+    x, fixed = np.array([0.1, -0.2]), np.array([1.9, 0.4])
+    evaluate = short_evaluator(points, moving, fixed)
+    full = np.where(moving[:, None], points, fixed)
+    expected_i, expected_v = select_furthest(x, list(full))
+    baseline = furthest_candidate(evaluate, count, x, fixed=fixed)
+    assert baseline.index == expected_i
+    np.testing.assert_array_equal(baseline.point, expected_v)
+    for workers in (2, 8):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            result = furthest_candidate(
+                evaluate, count, x, fixed=fixed, pool=pool, workers=workers
+            )
+        assert (result.index, result.dist2) == (baseline.index, baseline.dist2)
+        np.testing.assert_array_equal(result.point, baseline.point)
+
+
+@pytest.mark.parametrize(
+    "rows, d, fixed",
+    [(3, 1, None), (6, 1, np.zeros(1)), (3, 2, np.zeros(1)), (3, 1, np.zeros(2))],
+    ids=["short_without_fixed", "too_many_rows", "wrong_d", "fixed_wrong_d"],
+)
+def test_malformed_chunk_rejected(rows, d, fixed):
+    with pytest.raises(ValueError):
+        furthest_candidate(
+            lambda lo, hi: np.zeros((rows, d)), 5, np.zeros(1), fixed=fixed
+        )

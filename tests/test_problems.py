@@ -26,6 +26,7 @@ from hybridproj.problems import (
     section4_map,
 )
 from hybridproj.solver import solve
+from oracles import full_chunk
 
 
 class TestSection4Spec:
@@ -75,10 +76,13 @@ class TestBuildSection4:
 
     def test_kernel_matches_member_resolvent(self):
         family, _, _ = build_section4(40, 10)
+        xi = Section4Spec(n_geps=40, n_maps=10).thresholds
         rng = np.random.default_rng(61)
         for _ in range(25):
             x = np.array([rng.uniform(-1, 1)])
-            block = family.gep_kernel(0, family.n_geps, 1.0, x)
+            head = family.gep_kernel(0, family.n_geps, 1.0, x)
+            assert len(head) == np.searchsorted(xi, x[0], side="right")
+            block = full_chunk(head, family.n_geps, x)
             for i in range(0, family.n_geps, 7):
                 f, A = family.geps[i]
                 member = resolvent(f, A, 1.0, x, family.base)
@@ -89,7 +93,9 @@ class TestBuildSection4:
         rng = np.random.default_rng(67)
         for _ in range(25):
             v = np.array([rng.uniform(-1, 1)])
-            block = family.map_kernel(0, family.n_maps, 1, v)
+            head = family.map_kernel(0, family.n_maps, 1, v)
+            assert len(head) == (0 if v[0] < 0.0 else family.n_maps)
+            block = full_chunk(head, family.n_maps, v)
             for j in range(0, family.n_maps, 11):
                 np.testing.assert_allclose(
                     block[j], family.maps[j](v), atol=0, rtol=0
@@ -97,8 +103,8 @@ class TestBuildSection4:
 
     @pytest.mark.parametrize("where", ["below", "above", "on", "inside"])
     def test_kernel_matches_masked_formula(self, where):
-        # The kernel splits each chunk at the first fixed member; the plain
-        # form evaluates arctan everywhere and masks the fixed members.
+        # The kernel returns the members before the first fixed one; the
+        # plain form evaluates arctan everywhere and masks the fixed members.
         family, _, _ = build_section4(50, 4)
         xi = Section4Spec(n_geps=50, n_maps=4).thresholds
         lo, hi = 7, 31
@@ -106,8 +112,9 @@ class TestBuildSection4:
         gap = point - xi[lo:hi]
         expected = np.where(gap < 0.0, point, np.arctan(gap) + xi[lo:hi])
         got = family.gep_kernel(lo, hi, 1.0, np.array([point]))
-        assert got.shape == (hi - lo, 1)
-        np.testing.assert_array_equal(got[:, 0], expected)
+        split = int(np.searchsorted(xi[lo:hi], point, side="right"))
+        assert got.shape == (split, 1)
+        np.testing.assert_array_equal(full_chunk(got, hi - lo, point)[:, 0], expected)
 
     def test_kernel_requires_unit_step(self):
         family, _, _ = build_section4(4, 4)

@@ -370,6 +370,16 @@ class TestResiduals:
         assert r.res_y >= 0 and r.res_z >= 0 and r.res_s >= 0
 
 
+    def test_residual_pass_timed_only_when_run(self):
+        family, sched, _ = build_section4(2, 2)
+        quiet, timed = (
+            iterate(initial_state([1.0]), family, sched,
+                    SolverConfig(record_history=history)).last
+            for history in (False, True)
+        )
+        assert quiet.res_s is None and quiet.t_residual_ms == 0.0
+        assert timed.res_s is not None and timed.t_residual_ms > 0.0
+
 class TestRunInvariants:
     def test_containment_monotonicity_and_cut_bound(self):
         family, sched, ref = build_section4(20, 30)
