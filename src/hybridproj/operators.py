@@ -46,7 +46,10 @@ __all__ = [
 ]
 
 DEFAULT_RESOLVENT_TOL = 1e-12
-MAX_HALVINGS = 200
+# Root-finding steps allowed per scalar resolvent. The safeguard in
+# resolvent_scalar halves the bracket at least once every three steps, so
+# this matches a budget of 200 plain bisection halvings.
+MAX_STEPS = 3 * 200
 
 
 class InvalidModelError(ValueError):
@@ -266,21 +269,26 @@ class ProblemFamily:
         else:
             k_seq = lambda n: 1.0  # noqa: E731
 
+        # The checks and the conversion of the evaluation point run once per
+        # chunk; the loops call the cores behind resolvent and apply_power.
         def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
-            rows = np.empty((hi - lo, x.size))
-            for i in range(lo, hi):
-                f, A = geps[i]
-                rows[i - lo] = resolvent(f, A, r, x, base)
+            tol = DEFAULT_RESOLVENT_TOL
+            _check_step(r, tol)
+            xv = as_vector(x)
+            rows = np.empty((hi - lo, xv.size))
+            for i, (f, A) in enumerate(geps[lo:hi]):
+                rows[i] = _resolve(f, A, r, xv, base, tol)
             return rows
 
         def map_kernel(
             lo: int, hi: int, nominal_power: int, point: np.ndarray
         ) -> np.ndarray:
-            rows = np.empty((hi - lo, point.size))
-            for j in range(lo, hi):
-                s = maps[j]
-                power = nominal_power if s.asymptotic else 1
-                rows[j - lo] = apply_power(s, power, point)
+            _check_power(nominal_power)
+            nominal_power = int(nominal_power)
+            pv = as_vector(point)
+            rows = np.empty((hi - lo, pv.size))
+            for j, s in enumerate(maps[lo:hi]):
+                rows[j] = _power(s, nominal_power if s.asymptotic else 1, pv)
             return rows
 
         return cls(
@@ -289,6 +297,19 @@ class ProblemFamily:
             gep_kernel=gep_kernel, map_kernel=map_kernel,
             asymptotic_members=bool(asymptotic), **kwargs,
         )
+
+
+def _check_step(r: float, tol: float) -> None:
+    if not r > 0:
+        raise ValueError("resolvent step size must be positive")
+    if not tol > 0:
+        raise ValueError("resolvent tolerance must be positive")
+
+
+def _resolve(
+    f: Bifunction, A: IsmOperator, r: float, xv: np.ndarray, base: BaseSet, tol: float
+) -> np.ndarray:
+    return f.resolve(r, xv - r * A(xv), base, tol)
 
 
 def resolvent(
@@ -304,13 +325,8 @@ def resolvent(
     With the zero bifunction this reduces to the base projection of the
     forward step; with a zero operator it is the pure equilibrium resolvent.
     """
-    if not r > 0:
-        raise ValueError("resolvent step size must be positive")
-    if not tol > 0:
-        raise ValueError("resolvent tolerance must be positive")
-    xv = as_vector(x)
-    w = xv - r * A(xv)
-    return f.resolve(r, w, base, tol)
+    _check_step(r, tol)
+    return _resolve(f, A, r, as_vector(x), base, tol)
 
 
 def resolvent_scalar(
@@ -321,20 +337,27 @@ def resolvent_scalar(
     hi: float,
     tol: float = DEFAULT_RESOLVENT_TOL,
 ) -> float:
-    """Solve ``r * profile(z) + z = x`` on ``[lo, hi]`` by bisection.
+    """Solve ``r * profile(z) + z = x`` on ``[lo, hi]`` by safeguarded
+    Illinois root finding.
 
     ``profile`` must be nondecreasing on the interval, which makes
     ``g(z) = r * profile(z) + z - x`` strictly increasing. When the root
     bracket ``g(lo) <= 0 <= g(hi)`` fails, the complementarity conditions at
     the interval endpoints apply: the solution clamps to ``lo`` when
-    ``g(lo) > 0`` and to ``hi`` when ``g(hi) < 0``. Bisection narrows the
-    bracket to width ``tol``.
+    ``g(lo) > 0`` and to ``hi`` when ``g(hi) < 0``. Otherwise the bracket
+    narrows until its width is at most ``tol``, and its midpoint is
+    returned. Each step takes the secant point of the bracket, with the
+    Illinois modification (Dowell & Jarratt, 1971): the ``g`` value of an
+    endpoint kept by two secant steps in a row is halved. A bisection step
+    replaces the secant step whenever the bracket has not halved over the
+    last two steps or the secant point is not strictly inside it, so the
+    bracket halves at least once every three steps, whatever the profile.
 
     Raises:
         InvalidModelError: endpoint signs are decreasing, contradicting the
             declared monotonicity.
         ResolventFailure: a profile evaluation produced a non-finite value
-            or the halving budget ran out.
+            or the step budget ran out.
     """
     if not r > 0:
         raise ValueError("resolvent step size must be positive")
@@ -363,36 +386,61 @@ def resolvent_scalar(
     if g_hi <= 0.0:
         return hi
     # Exact fixed points short-circuit: when the profile vanishes at x the
-    # root is x itself and must be returned without bisection error.
+    # root is x itself and must be returned without root-finding error.
     if lo <= x <= hi and g(x) == 0.0:
         return x
-    a, b = lo, hi
-    for _ in range(MAX_HALVINGS):
-        if b - a <= tol:
+    # g_a < 0 < g_b throughout; the Illinois rule may halve either value.
+    a, b, g_a, g_b = lo, hi, g_lo, g_hi
+    last_moved_a = None  # which endpoint the last secant step replaced
+    width_2 = width_1 = math.inf  # bracket widths two and one steps ago
+    for _ in range(MAX_STEPS):
+        width = b - a
+        if width <= tol:
             return 0.5 * (a + b)
-        m = 0.5 * (a + b)
+        m = a - g_a * (width / (g_b - g_a))
+        secant = a < m < b and width <= 0.5 * width_2
+        if not secant:
+            m = 0.5 * (a + b)
+        width_2, width_1 = width_1, width
         g_m = g(m)
         if g_m == 0.0:
             return m
-        if g_m < 0.0:
-            a = m
+        moved_a = g_m < 0.0
+        if moved_a:
+            a, g_a = m, g_m
         else:
-            b = m
+            b, g_b = m, g_m
+        # Bisection steps leave the Illinois streak alone: they would
+        # otherwise reset it every third step on a one-sided approach.
+        if secant:
+            if moved_a == last_moved_a:
+                if moved_a:
+                    g_b *= 0.5
+                else:
+                    g_a *= 0.5
+            last_moved_a = moved_a
     raise ResolventFailure(
         f"bracket width {b - a:.3e} still above tol={tol:.1e} "
-        f"after {MAX_HALVINGS} halvings",
+        f"after {MAX_STEPS} steps",
         (a, b, g(a), g(b)),
     )
 
 
-def apply_power(S: PseudoContraction, n: int, x) -> np.ndarray:
-    """Apply a mapping ``n`` times; ``n = 0`` is the identity."""
+def _check_power(n: int) -> None:
     if n < 0 or n != int(n):
         raise ValueError("power must be a nonnegative integer")
-    point = as_vector(x)
-    for _ in range(int(n)):
+
+
+def _power(S: PseudoContraction, n: int, point: np.ndarray) -> np.ndarray:
+    for _ in range(n):
         point = S(point)
     return point
+
+
+def apply_power(S: PseudoContraction, n: int, x) -> np.ndarray:
+    """Apply a mapping ``n`` times; ``n = 0`` is the identity."""
+    _check_power(n)
+    return _power(S, int(n), as_vector(x))
 
 
 def lipschitz_bound(kappa: float, k_values: Sequence[float]) -> float:

@@ -12,6 +12,7 @@ count, including 1.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -85,7 +86,14 @@ def _chunk_best(
     if k > 0:
         dist2 = squared_distances(points, x)
         i = int(np.argmax(dist2))
-        best = Furthest(index=lo + i, point=np.array(points[i]), dist2=float(dist2[i]))
+        d2 = float(dist2[i])
+        # argmax returns the first NaN, so one check at the winner catches
+        # a non-finite candidate anywhere in the head.
+        if not math.isfinite(d2):
+            raise ValueError(
+                f"member {lo + i} gave a candidate at non-finite squared distance {d2}"
+            )
+        best = Furthest(index=lo + i, point=np.array(points[i]), dist2=d2)
     if k < hi - lo:
         # Every tail row equals ``fixed``: its first index is the tail's
         # argmax, and it must beat the head strictly to keep ties earlier.
@@ -109,7 +117,9 @@ def furthest_candidate(
     on its threads; the reduction order stays fixed either way. ``fixed`` is
     the point the evaluator's members are applied to: an evaluator may then
     stop a chunk early, and each member it leaves out counts as the
-    candidate ``fixed``. Without it every chunk must come back full.
+    candidate ``fixed``. Without it every chunk must come back full. A
+    candidate at a non-finite distance from ``x`` raises ``ValueError``
+    naming its member.
     """
     if count <= 0:
         raise ValueError("candidate family must be nonempty")

@@ -6,12 +6,15 @@ local refinement, and the enumeration oracle solves the box-plus-halfspaces
 projection exactly by checking every active set of size at most two. The
 selection oracle is the serial reference for the chunked parallel
 reduction, and ``full_chunk`` expands a kernel's short chunk into the rows
-it stands for.
+it stands for. ``bisect_resolvent`` is plain bisection, the agreement
+oracle for the scalar resolvent's root finder, and ``counting`` counts the
+profile calls either one makes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -236,3 +239,55 @@ def random_cut_instance(rng: np.random.Generator, n_cuts: int):
         )
     x0 = rng.uniform(-2.0, 2.0, size=2)
     return nested, x0
+
+
+def bisect_resolvent(profile, r: float, x: float, lo: float, hi: float,
+                     tol: float = 1e-12, max_halvings: int = 200) -> float:
+    """Solve ``r * profile(z) + z = x`` on ``[lo, hi]`` by plain bisection.
+
+    Same clamps, monotonicity rule and exact-fixed-point short cut as
+    ``hybridproj.operators.resolvent_scalar``; only the narrowing differs,
+    so the two must agree to within ``tol``.
+    """
+    from hybridproj.operators import InvalidModelError, ResolventFailure
+
+    def g(z: float) -> float:
+        value = r * profile(z) + z - x
+        if math.isnan(value):
+            raise ResolventFailure(f"profile produced NaN at z={z!r}",
+                                   (lo, hi, math.nan, math.nan))
+        return value
+
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo > 0.0 and g_hi < 0.0:
+        raise InvalidModelError("endpoint values decrease across the bracket")
+    if g_lo >= 0.0:
+        return lo
+    if g_hi <= 0.0:
+        return hi
+    if lo <= x <= hi and g(x) == 0.0:
+        return x
+    a, b = lo, hi
+    for _ in range(max_halvings):
+        if b - a <= tol:
+            return 0.5 * (a + b)
+        m = 0.5 * (a + b)
+        g_m = g(m)
+        if g_m == 0.0:
+            return m
+        if g_m < 0.0:
+            a = m
+        else:
+            b = m
+    raise ResolventFailure("halving budget ran out", (a, b, g(a), g(b)))
+
+
+def counting(profile):
+    """``profile`` wrapped to count its calls, and the one-element counter."""
+    calls = [0]
+
+    def counted(z: float) -> float:
+        calls[0] += 1
+        return profile(z)
+
+    return counted, calls

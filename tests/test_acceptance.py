@@ -284,7 +284,7 @@ def test_criterion_6_resolvent_oracle_equivalence():
         f = section4_bifunction(xi)
         z = resolvent_scalar(f.profile, 1.0, x, f.lo, f.hi)
         worst = max(worst, abs(z - (xi + math.atan(x - xi))))
-    report(6, worst <= 1e-10, f"bisection vs closed form worst gap {worst:.2e}")
+    report(6, worst <= 1e-10, f"root finder vs closed form worst gap {worst:.2e}")
 
 
 def test_criterion_7_worker_determinism(tmp_path):

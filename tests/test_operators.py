@@ -5,10 +5,12 @@ import pytest
 
 from hybridproj.geometry import Box
 from hybridproj.operators import (
+    MAX_STEPS,
     InvalidModelError,
     IsmOperator,
     ProblemFamily,
     PseudoContraction,
+    ResolventFailure,
     ZeroBifunction,
     affine_operator,
     apply_power,
@@ -20,12 +22,29 @@ from hybridproj.operators import (
     zero_operator,
 )
 from hybridproj.problems import build_section4, section4_bifunction, section4_map
+from oracles import bisect_resolvent, counting
 
 BASE = Box(lo=[-1.0], hi=[1.0])
+TOL = 1e-12
 
 
 def closed_form(x, xi):
     return x if x < xi else xi + math.atan(x - xi)
+
+
+def cubic_root(r, x):
+    """Real root of ``r * z**3 + z = x`` by Cardano's formula."""
+    p, q = 1.0 / r, -x / r
+    disc = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
+    return float(np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc))
+
+
+def step_profile(z):
+    return 0.0 if z < 0.3 else 1.0
+
+
+def kinked_profile(z):
+    return 1e9 * max(z - 0.3, 0.0)
 
 
 class TestResolvent:
@@ -56,6 +75,9 @@ class TestResolvent:
 
 
 class TestResolventScalar:
+    """The root finder against the closed forms and against plain
+    bisection (``oracles.bisect_resolvent``)."""
+
     def test_zero_profile_interior(self):
         assert resolvent_scalar(lambda z: 0.0, 2.0, 0.3, -1.0, 1.0) == 0.3
 
@@ -64,12 +86,17 @@ class TestResolventScalar:
         assert z == pytest.approx(0.5, abs=1e-12)
 
     def test_clamps_at_endpoints(self):
-        assert resolvent_scalar(lambda z: z, 1.0, 3.0, -1.0, 1.0) == 1.0
-        assert resolvent_scalar(lambda z: z, 1.0, -3.0, -1.0, 1.0) == -1.0
+        for profile in (lambda z: z, lambda z: z ** 3):
+            for solver in (resolvent_scalar, bisect_resolvent):
+                assert solver(profile, 1.0, 3.0, -1.0, 1.0) == 1.0
+                assert solver(profile, 1.0, -3.0, -1.0, 1.0) == -1.0
+                assert solver(profile, 0.5, 1.5, -1.0, 1.0) == 1.0
 
     def test_decreasing_profile_rejected(self):
-        with pytest.raises(InvalidModelError):
-            resolvent_scalar(lambda z: -2.0 * z, 1.0, 0.0, -1.0, 1.0)
+        for r in (0.5, 1.0, 4.0):
+            for solver in (resolvent_scalar, bisect_resolvent):
+                with pytest.raises(InvalidModelError):
+                    solver(lambda z: -4.0 * z, r, 0.0, -1.0, 1.0)
 
     def test_matches_closed_form_on_random_pairs(self):
         rng = np.random.default_rng(31)
@@ -80,12 +107,113 @@ class TestResolventScalar:
             f = section4_bifunction(xi)
             z = resolvent_scalar(f.profile, 1.0, x, f.lo, f.hi)
             worst = max(worst, abs(z - closed_form(x, xi)))
+            assert abs(z - bisect_resolvent(f.profile, 1.0, x, f.lo, f.hi)) <= TOL
         assert worst <= 1e-10
 
     def test_general_step_size(self):
         # r * z + z = x with profile(z) = z gives z = x / (1 + r)
         z = resolvent_scalar(lambda z: z, 3.0, 0.8, -1.0, 1.0)
         assert z == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.25, 3.0])
+    def test_linear_and_cubic_profiles(self, r):
+        linear, cubic = (lambda z: z), (lambda z: z ** 3)
+        for x in np.linspace(-0.9, 0.9, 13):
+            x = float(x)
+            for profile, exact in ((linear, x / (1.0 + r)), (cubic, cubic_root(r, x))):
+                z = resolvent_scalar(profile, r, x, -1.0, 1.0)
+                assert abs(z - exact) <= TOL
+                assert abs(z - bisect_resolvent(profile, r, x, -1.0, 1.0)) <= TOL
+
+    def test_exact_fixed_point_returned_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            xi = float(rng.uniform(-0.5, 0.999))
+            x = float(rng.uniform(-0.999, xi))
+            f = section4_bifunction(xi)
+            profile, calls = counting(f.profile)
+            assert resolvent_scalar(profile, 2.5, x, f.lo, f.hi) == x
+            # both endpoints and x itself: no root-finding step was taken
+            assert calls[0] == 3
+
+    def test_step_profile_lands_on_the_jump(self):
+        for x in (0.4, 0.5, 1.2):
+            z = resolvent_scalar(step_profile, 1.0, x, -1.0, 1.0)
+            assert abs(z - 0.3) <= TOL
+            assert abs(z - bisect_resolvent(step_profile, 1.0, x, -1.0, 1.0)) <= TOL
+
+    def test_infinite_profile_value_at_an_endpoint(self):
+        # g(lo) = -inf makes the secant point NaN; a bisection step replaces it.
+        def log_profile(z):
+            return math.log1p(z) if z > -1.0 else -math.inf
+
+        for x in (-0.5, 0.7):
+            z = resolvent_scalar(log_profile, 1.0, x, -1.0, 1.0)
+            assert abs(z - bisect_resolvent(log_profile, 1.0, x, -1.0, 1.0)) <= TOL
+
+
+class TestResolventScalarCallCounts:
+    """Profile calls per solve: a timing-free guard on the root finder."""
+
+    def test_section4_median_calls(self):
+        rng = np.random.default_rng(67)
+        counts = []
+        for _ in range(1000):
+            xi = float(rng.uniform(-0.999, 0.999))
+            x = float(rng.uniform(xi, 1.0))
+            f = section4_bifunction(xi)
+            profile, calls = counting(f.profile)
+            resolvent_scalar(profile, 1.0, x, f.lo, f.hi)
+            oracle_profile, oracle_calls = counting(f.profile)
+            bisect_resolvent(oracle_profile, 1.0, x, f.lo, f.hi)
+            assert calls[0] <= oracle_calls[0]
+            counts.append(calls[0])
+        assert float(np.median(counts)) <= 16
+
+    @pytest.mark.parametrize(
+        "xi, x",
+        [
+            (-0.5178905051315971, 0.49874954354735246),
+            (-0.9863483004490805, 0.17127815115618694),
+            (-0.8620753154857852, -0.4980158582724532),
+        ],
+    )
+    def test_one_sided_approach(self, xi, x):
+        # Secant steps reach the root from below while the upper end stays
+        # far away. Had bisection steps reset the Illinois streak, these
+        # pairs would take 56-60 calls.
+        f = section4_bifunction(xi)
+        profile, calls = counting(f.profile)
+        z = resolvent_scalar(profile, 1.0, x, f.lo, f.hi)
+        assert abs(z - closed_form(x, xi)) <= TOL
+        assert calls[0] <= 20
+
+    def test_kinked_profile_within_three_times_bisection(self):
+        profile, calls = counting(kinked_profile)
+        z = resolvent_scalar(profile, 1.0, 0.5, -1.0, 1.0)
+        oracle_profile, oracle_calls = counting(kinked_profile)
+        expected = bisect_resolvent(oracle_profile, 1.0, 0.5, -1.0, 1.0)
+        assert abs(z - 0.3 - 0.2 / (1e9 + 1.0)) <= TOL
+        assert abs(z - expected) <= TOL
+        assert calls[0] <= 3 * oracle_calls[0]
+
+
+class TestResolventFailure:
+    def test_nan_profile(self):
+        profile = lambda z: math.nan if 0.1 < z < 0.6 else z  # noqa: E731
+        with pytest.raises(ResolventFailure) as info:
+            resolvent_scalar(profile, 1.0, 0.5, -1.0, 1.0)
+        lo, hi, g_lo, g_hi = info.value.bracket
+        assert (lo, hi) == (-1.0, 1.0)
+        assert math.isnan(g_lo) and math.isnan(g_hi)
+
+    def test_step_budget_exhausted(self):
+        with pytest.raises(ResolventFailure, match=f"after {MAX_STEPS} steps") as info:
+            resolvent_scalar(step_profile, 1.0, 0.5, -1.0, 1.0, tol=1e-300)
+        a, b, g_a, g_b = info.value.bracket
+        # The bracket has closed on the jump but cannot narrow below a ulp.
+        assert a < 0.3 <= b and 1e-300 < b - a <= 1e-15
+        assert g_a < 0.0 < g_b
 
 
 class TestApplyPower:
@@ -296,6 +424,21 @@ class TestProblemFamily:
                 np.testing.assert_array_equal(block[j - lo], apply_power(s, power, x))
         # plain members run at power one, not at the nominal power
         assert family.map_kernel(2, 3, 3, np.array([0.5]))[0, 0] == 0.5 - 1.25 * 0.25
+
+    def test_member_kernels_keep_checks(self):
+        family = ProblemFamily.from_members(
+            BASE, [(section4_bifunction(0.2), zero_operator())], [section4_map(1.5)]
+        )
+        for bad in ([math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                family.gep_kernel(0, 1, 1.0, np.array(bad))
+            with pytest.raises(ValueError):
+                family.map_kernel(0, 1, 1, np.array(bad))
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                family.gep_kernel(0, 1, r, np.array([0.5]))
+        with pytest.raises(ValueError):
+            family.map_kernel(0, 1, -1, np.array([0.5]))
 
     def test_every_family_carries_kernels(self):
         members = ProblemFamily.from_members(

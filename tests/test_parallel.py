@@ -213,3 +213,32 @@ def test_malformed_chunk_rejected(rows, d, fixed):
         furthest_candidate(
             lambda lo, hi: np.zeros((rows, d)), 5, np.zeros(1), fixed=fixed
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("at", [0, 5, 9])
+def test_non_finite_candidate_names_its_member(bad, at):
+    rng = np.random.default_rng(97)
+    points = rng.uniform(-1, 1, size=(10, 2))
+    points[at, 1] = bad
+    lo = 20
+    evaluate = lambda a, b: points[a - lo:b - lo].copy()  # noqa: E731
+    with pytest.raises(ValueError, match=f"member {lo + at} "):
+        _chunk_best(evaluate, lo, lo + 10, np.zeros(2))
+
+
+def test_nan_after_inf_is_named():
+    # argmax ranks a NaN above an inf, so the first NaN is the member named.
+    points = np.array([[0.0], [np.inf], [1.0], [np.nan], [np.nan]])
+    with pytest.raises(ValueError, match="member 3 "):
+        furthest_candidate(lambda lo, hi: points[lo:hi].copy(), 5, np.zeros(1))
+
+
+def test_non_finite_candidate_raises_on_pooled_chunks(monkeypatch):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+    points = np.zeros((500, 1))
+    points[321, 0] = np.nan
+    evaluate = lambda lo, hi: points[lo:hi].copy()  # noqa: E731
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(ValueError, match="member 321 "):
+            furthest_candidate(evaluate, 500, np.ones(1), pool=pool, workers=2)

@@ -22,7 +22,12 @@ from hybridproj.operators import (
     resolvent,
     zero_operator,
 )
-from hybridproj.problems import build_section4
+from hybridproj.problems import (
+    build_section4,
+    preset,
+    section4_bifunction,
+    section4_map,
+)
 from hybridproj.solver import (
     ParamSchedule,
     ResidualBelow,
@@ -369,6 +374,24 @@ class TestResiduals:
         assert r.res_y == pytest.approx(1.0 - (-1 / 3 + math.atan(4 / 3)), abs=1e-9)
         assert r.res_y >= 0 and r.res_z >= 0 and r.res_s >= 0
 
+
+    @pytest.mark.parametrize(
+        "cfg_change",
+        [{"record_history": True}, {"stop": ResidualBelow(1e-3)}],
+        ids=["history", "residual_stop"],
+    )
+    def test_non_finite_map_in_residual_pass_raises(self, cfg_change):
+        # Phase 3 maps y_far < 0.9, so only the res_S pass at x = 1.0 meets
+        # the NaN; it used to be recorded as res_s = nan.
+        broken = PseudoContraction(
+            map=lambda v: np.where(v > 0.9, np.nan, v), kappa=0.0
+        )
+        family, cfg, sched = preset(
+            "cor5", base=BASE, bifunctions=[section4_bifunction(-0.5)],
+            maps=[section4_map(1.5), broken],
+        )
+        with pytest.raises(ValueError, match="member 1 "):
+            solve(family, sched, replace(cfg, max_iter=3, **cfg_change), [1.0])
 
     def test_residual_pass_timed_only_when_run(self):
         family, sched, _ = build_section4(2, 2)
