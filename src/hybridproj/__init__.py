@@ -20,7 +20,6 @@ from .geometry import (
     as_vector,
     contains,
     halfspace_from_iterate,
-    project_base,
     project_nested,
 )
 from .operators import (
@@ -37,7 +36,6 @@ from .operators import (
     affine_operator,
     apply_power,
     identity_map,
-    lipschitz_bound,
     resolvent,
     resolvent_scalar,
     verify_family,
@@ -47,10 +45,8 @@ from .problems import (
     IntervalSolution,
     PointSolution,
     Section4Spec,
-    UnsupportedProblemError,
     build_section4,
     default_schedule,
-    known_solution_set,
     preset,
     section4_bifunction,
     section4_map,
@@ -63,7 +59,6 @@ from .solver import (
     SolverConfig,
     SolverState,
     ToleranceToReference,
-    cut_relaxation,
     iterate,
     solve,
 )

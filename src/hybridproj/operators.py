@@ -222,7 +222,7 @@ class ProblemFamily:
     map_kernel: MapKernel
     known_solution: Any = None
     # Family-level flag so huge lazy member sequences never need a scan.
-    asymptotic_members: bool = False
+    has_asymptotic_maps: bool = False
 
     def __post_init__(self):
         if len(self.geps) == 0 and len(self.maps) == 0:
@@ -239,10 +239,6 @@ class ProblemFamily:
     @property
     def n_maps(self) -> int:
         return len(self.maps)
-
-    @property
-    def has_asymptotic_maps(self) -> bool:
-        return self.asymptotic_members
 
     @classmethod
     def from_members(
@@ -295,7 +291,7 @@ class ProblemFamily:
             base=base, geps=geps, maps=maps,
             alpha=alpha, kappa=kappa, k_seq=k_seq,
             gep_kernel=gep_kernel, map_kernel=map_kernel,
-            asymptotic_members=bool(asymptotic), **kwargs,
+            has_asymptotic_maps=bool(asymptotic), **kwargs,
         )
 
 
@@ -495,10 +491,6 @@ class FamilyReport:
     @property
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def worst(self, kind: str) -> float:
-        slacks = [e.worst_slack for e in self.entries if e.kind == kind]
-        return min(slacks) if slacks else math.inf
 
     def failures(self) -> list[MemberCheck]:
         return [e for e in self.entries if not e.passed]

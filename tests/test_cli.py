@@ -82,6 +82,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x0", "1.0"),
+            ("x0", None),
+            ("max_iter", "5"),
+            ("workers", "2"),
+            ("projection_tol", "x"),
+        ],
+    )
+    def test_malformed_value_is_invalid_config(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, small_benchmark_config(**{key: value}))
+        assert main(["run", "--config", cfg]) == EXIT_INVALID_CONFIG
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "invalid-config"
+        assert key in error["detail"]
+
 
 class TestRun:
     def test_benchmark_run_and_artifacts(self, tmp_path, capsys):
@@ -208,6 +225,31 @@ class TestValidate:
         assert code == EXIT_VALIDATION_FAILURE
         report = json.loads(capsys.readouterr().out.strip())
         assert any("modulus" in v for v in report["schedule_violations"])
+
+    @pytest.mark.parametrize("index", [0, 50])
+    def test_every_map_is_checked(self, tmp_path, capsys, index):
+        # x -> x - 1.5 x^2 moves the solution 0.5 to 0.125, wherever it sits.
+        maps = [{"variant": "identity"}] * 50
+        maps.insert(index, {"variant": "section4", "c": 1.5})
+        data = affine_vi_config()
+        data["problem"]["maps"] = maps
+        code = main(["validate", "--config", write_config(tmp_path, data),
+                     "--samples", "20"])
+        assert code == EXIT_VALIDATION_FAILURE
+        report = json.loads(capsys.readouterr().out.strip())
+        assert report["solution_fixed_point_max_gap"] == pytest.approx(0.375)
+        assert report["passed"] is False
+
+    def test_kernel_error_is_solver_failure(self, tmp_path, capsys):
+        # The closed-form section4 kernel takes unit steps only, as in run.
+        data = small_benchmark_config(
+            schedule={"r": {"kind": "constant", "value": 0.5}, "d": 0.5, "e": 0.5}
+        )
+        cfg = write_config(tmp_path, data)
+        assert main(["validate", "--config", cfg]) == EXIT_SOLVER_FAILURE
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "solver-failure"
+        assert main(["run", "--config", cfg]) == EXIT_SOLVER_FAILURE
 
 
 class TestBench:

@@ -6,6 +6,7 @@ import pytest
 from hybridproj.geometry import Box
 from hybridproj.operators import (
     MAX_STEPS,
+    CustomBifunction,
     InvalidModelError,
     IsmOperator,
     ProblemFamily,
@@ -454,3 +455,37 @@ class TestProblemFamily:
 
     def test_zero_operator_has_infinite_modulus(self):
         assert math.isinf(zero_operator().alpha)
+
+
+class TestCustomBifunction:
+    BOX2 = Box(lo=[-1.0, -0.5], hi=[1.0, 0.5])
+    OPERATORS = [
+        affine_operator(1.0, [0.5, 0.0]),
+        affine_operator(2.0, [-0.3, 0.2]),
+        zero_operator(),
+        affine_operator(0.5, [0.9, -0.4]),
+        affine_operator(3.0, [0.0, 0.1]),
+    ]
+
+    def test_projection_oracle_matches_zero_bifunction(self):
+        box = self.BOX2
+        custom = CustomBifunction(oracle=lambda r, w: box.project(w))
+        zero = ProblemFamily.from_members(
+            box, [(ZeroBifunction(), A) for A in self.OPERATORS], []
+        )
+        oracle = ProblemFamily.from_members(
+            box, [(custom, A) for A in self.OPERATORS], []
+        )
+        lo, hi = 2, 5
+        for x in ([0.9, 0.4], [-0.2, -0.5], [0.1, 0.0]):
+            for r in (0.25, 0.5):
+                expected = zero.gep_kernel(lo, hi, r, np.array(x))
+                got = oracle.gep_kernel(lo, hi, r, np.array(x))
+                assert got.shape == (hi - lo, 2)
+                np.testing.assert_array_equal(got, expected)
+
+    def test_nan_oracle_raises(self):
+        custom = CustomBifunction(oracle=lambda r, w: np.full_like(w, math.nan))
+        family = ProblemFamily.from_members(BASE, [(custom, zero_operator())], [])
+        with pytest.raises(ValueError, match="finite"):
+            family.gep_kernel(0, 1, 1.0, np.array([0.5]))

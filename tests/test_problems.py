@@ -17,10 +17,8 @@ from hybridproj.problems import (
     IntervalSolution,
     PointSolution,
     Section4Spec,
-    UnsupportedProblemError,
     build_section4,
     default_schedule,
-    known_solution_set,
     preset,
     section4_bifunction,
     section4_map,
@@ -159,7 +157,7 @@ class TestBuildSection4:
 class TestKnownSolutionSet:
     def test_benchmark_interval(self):
         family, _, ref = build_section4(4, 4)
-        sol = known_solution_set(family)
+        sol = family.known_solution
         assert isinstance(sol, IntervalSolution)
         assert sol.lo == -1.0 and sol.hi == pytest.approx(ref)
         assert sol.project([1.0])[0] == pytest.approx(ref)
@@ -174,22 +172,13 @@ class TestKnownSolutionSet:
     def test_sampled_solutions_are_fixed_points(self):
         family, _, ref = build_section4(6, 6)
         rng = np.random.default_rng(79)
-        sol = known_solution_set(family)
+        sol = family.known_solution
         for _ in range(50):
             u = sol.project([rng.uniform(-2, 2)])
             for f, A in family.geps:
                 assert abs(resolvent(f, A, 1.0, u, family.base)[0] - u[0]) <= 1e-10
             for s in family.maps:
                 assert abs(s(u)[0] - u[0]) <= 1e-10
-
-    def test_unknown_family_raises(self):
-        from hybridproj.operators import ProblemFamily
-
-        family = ProblemFamily.from_members(
-            Box(lo=[-1.0], hi=[1.0]), [], [identity_map()]
-        )
-        with pytest.raises(UnsupportedProblemError):
-            known_solution_set(family)
 
 
 class TestPresets:

@@ -1,0 +1,32 @@
+"""The names ``hybridproj`` exports; growing the surface is a visible edit."""
+
+import types
+
+import hybridproj
+
+PUBLIC_NAMES = {
+    # geometry
+    "Ball", "BaseSet", "Box", "CustomSet", "Halfspace", "InfeasibleSetError",
+    "NestedSet", "ProjectionFailure", "as_vector", "contains",
+    "halfspace_from_iterate", "project_nested",
+    # operators
+    "Bifunction", "CustomBifunction", "FamilyReport", "InvalidModelError",
+    "IsmOperator", "ProblemFamily", "PseudoContraction", "ResolventFailure",
+    "ScalarMonotoneBifunction", "ZeroBifunction", "affine_operator",
+    "apply_power", "identity_map", "resolvent", "resolvent_scalar",
+    "verify_family", "zero_operator",
+    # problems
+    "IntervalSolution", "PointSolution", "Section4Spec", "build_section4",
+    "default_schedule", "preset", "section4_bifunction", "section4_map",
+    # solver
+    "IterationRecord", "ParamSchedule", "Report", "ResidualBelow",
+    "SolverConfig", "SolverState", "ToleranceToReference", "iterate", "solve",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name for name, value in vars(hybridproj).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC_NAMES
