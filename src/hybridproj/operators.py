@@ -305,6 +305,11 @@ def _check_step(r: float, tol: float) -> None:
 def _resolve(
     f: Bifunction, A: IsmOperator, r: float, xv: np.ndarray, base: BaseSet, tol: float
 ) -> np.ndarray:
+    # The forward step of a zero operator is a copy: for finite xv and r,
+    # xv - r * 0 has the same bits as xv. The copy is fresh, so a resolve
+    # that writes to its input cannot reach the caller or the next member.
+    if A.map is np.zeros_like and r < math.inf:
+        return f.resolve(r, xv.copy(), base, tol)
     return f.resolve(r, xv - r * A(xv), base, tol)
 
 
@@ -320,6 +325,9 @@ def resolvent(
 
     With the zero bifunction this reduces to the base projection of the
     forward step; with a zero operator it is the pure equilibrium resolvent.
+    A zero operator (``map`` is ``np.zeros_like``, as :func:`zero_operator`
+    builds it) skips the forward-step arithmetic and hands the bifunction a
+    copy of ``x``; the result is the same bits, and never ``x`` itself.
     """
     _check_step(r, tol)
     return _resolve(f, A, r, as_vector(x), base, tol)
@@ -340,14 +348,24 @@ def resolvent_scalar(
     ``g(z) = r * profile(z) + z - x`` strictly increasing. When the root
     bracket ``g(lo) <= 0 <= g(hi)`` fails, the complementarity conditions at
     the interval endpoints apply: the solution clamps to ``lo`` when
-    ``g(lo) > 0`` and to ``hi`` when ``g(hi) < 0``. Otherwise the bracket
-    narrows until its width is at most ``tol``, and its midpoint is
-    returned. Each step takes the secant point of the bracket, with the
-    Illinois modification (Dowell & Jarratt, 1971): the ``g`` value of an
-    endpoint kept by two secant steps in a row is halved. A bisection step
-    replaces the secant step whenever the bracket has not halved over the
-    last two steps or the secant point is not strictly inside it, so the
-    bracket halves at least once every three steps, whatever the profile.
+    ``g(lo) > 0`` and to ``hi`` when ``g(hi) < 0``. Otherwise, for ``x``
+    strictly inside the interval, ``g(x)`` either returns ``x`` exactly
+    (when it is zero) or makes ``x`` the bracket end of its sign. The
+    bracket then narrows until its width is at most ``tol``, and its
+    midpoint is returned. Each step takes the secant point of the bracket,
+    with the Illinois modification (Dowell & Jarratt, 1971): the ``g``
+    value of an endpoint kept by two secant steps in a row is halved. A
+    bisection step replaces the secant step whenever the bracket has not
+    halved over the last two steps or the secant point is not strictly
+    inside it, so the bracket halves at least once every three steps,
+    whatever the profile. A step that lands at ``m`` with
+    ``|g(m)| <= tol / 2`` is followed by one closing probe at
+    ``m - g(m)`` (the adjacent double when that rounds to ``m``), in the
+    manner of Brent's tolerance step: since ``g`` rises with slope at
+    least 1, the root lies between the two points and the probe usually
+    closes the bracket. Like every evaluation, the probe moves the bracket
+    only to the side its sign shows, so a profile that breaks the slope
+    bound costs calls, never the bracket.
 
     Raises:
         InvalidModelError: endpoint signs are decreasing, contradicting the
@@ -381,14 +399,22 @@ def resolvent_scalar(
         return lo
     if g_hi <= 0.0:
         return hi
-    # Exact fixed points short-circuit: when the profile vanishes at x the
-    # root is x itself and must be returned without root-finding error.
-    if lo <= x <= hi and g(x) == 0.0:
-        return x
-    # g_a < 0 < g_b throughout; the Illinois rule may halve either value.
     a, b, g_a, g_b = lo, hi, g_lo, g_hi
+    # g(x) decides the exact-fixed-point shortcut (when the profile vanishes
+    # at x, the root is x itself and is returned without root-finding
+    # error); otherwise x replaces the bracket end of its sign.
+    if lo < x < hi:
+        g_x = g(x)
+        if g_x == 0.0:
+            return x
+        if g_x < 0.0:
+            a, g_a = x, g_x
+        else:
+            b, g_b = x, g_x
+    # g_a < 0 < g_b throughout; the Illinois rule may halve either value.
     last_moved_a = None  # which endpoint the last secant step replaced
     width_2 = width_1 = math.inf  # bracket widths two and one steps ago
+    close = 0.5 * tol
     for _ in range(MAX_STEPS):
         width = b - a
         if width <= tol:
@@ -415,6 +441,20 @@ def resolvent_scalar(
                 else:
                     g_a *= 0.5
             last_moved_a = moved_a
+        if -close <= g_m <= close:
+            # Closing probe: with slope at least 1 the root lies between m
+            # and m - g(m); the bracket follows the probe's sign, not the bound.
+            p = m - g_m
+            if p == m:
+                p = math.nextafter(m, b if moved_a else a)
+            if a < p < b:
+                g_p = g(p)
+                if g_p == 0.0:
+                    return p
+                if g_p < 0.0:
+                    a, g_a = p, g_p
+                else:
+                    b, g_b = p, g_p
     raise ResolventFailure(
         f"bracket width {b - a:.3e} still above tol={tol:.1e} "
         f"after {MAX_STEPS} steps",

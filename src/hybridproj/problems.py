@@ -155,13 +155,21 @@ class Section4Spec:
     @cached_property
     def thresholds(self) -> np.ndarray:
         """Strictly ascending; the closed-form resolvent kernel relies on it."""
-        i = np.arange(1, self.n_geps + 1, dtype=np.float64)
-        return -1.0 + 2.0 * i / (self.n_geps + 1)
+        # -1 + 2 * i / (N + 1), built in place: the same ufuncs in the same
+        # order, so the same bits, without full-size temporaries.
+        t = np.arange(1, self.n_geps + 1, dtype=np.float64)
+        t *= 2.0
+        t /= self.n_geps + 1
+        t += -1.0
+        return t
 
     @cached_property
     def coefficients(self) -> np.ndarray:
-        j = np.arange(1, self.n_maps + 1, dtype=np.float64)
-        return 2.0 - j / (self.n_maps + 1)
+        # 2 - j / (M + 1), built in place like the thresholds.
+        c = np.arange(1, self.n_maps + 1, dtype=np.float64)
+        c /= self.n_maps + 1
+        np.subtract(2.0, c, out=c)
+        return c
 
     @property
     def kappa(self) -> float:

@@ -6,7 +6,8 @@ local refinement, and the enumeration oracle solves the box-plus-halfspaces
 projection exactly by checking every active set of size at most two. The
 selection oracle is the serial reference for the chunked parallel
 reduction, and ``full_chunk`` expands a kernel's short chunk into the rows
-it stands for. ``bisect_resolvent`` is plain bisection, the agreement
+it stands for. ``section4_thresholds`` and ``section4_coefficients`` are
+the benchmark's member constants as plain closed formulas. ``bisect_resolvent`` is plain bisection, the agreement
 oracle for the scalar resolvent's root finder, and ``counting`` counts the
 profile calls either one makes.
 """
@@ -177,6 +178,17 @@ def full_chunk(head, rows: int, point) -> np.ndarray:
     return np.vstack([head, np.tile(pv, (rows - head.shape[0], 1))])
 
 
+def section4_thresholds(n_geps: int) -> np.ndarray:
+    """Benchmark thresholds ``-1 + 2 i / (N + 1)``, ``i = 1..N``, as one
+    expression with full-size temporaries."""
+    return -1.0 + 2.0 * np.arange(1, n_geps + 1, dtype=np.float64) / (n_geps + 1)
+
+
+def section4_coefficients(n_maps: int) -> np.ndarray:
+    """Benchmark coefficients ``2 - j / (M + 1)``, ``j = 1..M``, likewise."""
+    return 2.0 - np.arange(1, n_maps + 1, dtype=np.float64) / (n_maps + 1)
+
+
 def reference_trajectory(n_geps: int, n_maps: int, iters: int, x0: float = 1.0):
     """Brute-force replay of the 1-D benchmark recursion.
 
@@ -184,8 +196,8 @@ def reference_trajectory(n_geps: int, n_maps: int, iters: int, x0: float = 1.0):
     argmax, and applies the analytic interval projection; shares no code
     with the solver path.
     """
-    xi = -1.0 + 2.0 * np.arange(1, n_geps + 1) / (n_geps + 1)
-    c = 2.0 - np.arange(1, n_maps + 1) / (n_maps + 1)
+    xi = section4_thresholds(n_geps)
+    c = section4_coefficients(n_maps)
     beta = n_maps / (2.0 * n_maps + 1.0)
     x = x0
     upper = np.inf

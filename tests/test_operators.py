@@ -48,6 +48,22 @@ def kinked_profile(z):
     return 1e9 * max(z - 0.3, 0.0)
 
 
+def softening_profile(z):
+    """Nonincreasing on [-1, 1]: g still rises, but with slope 0.1 to 1."""
+    return -0.9 * z + 0.3 * (z * z * z)
+
+
+def recording(profile):
+    """``profile`` wrapped to record the points it is called at."""
+    points = []
+
+    def recorded(z: float) -> float:
+        points.append(z)
+        return profile(z)
+
+    return recorded, points
+
+
 class TestResolvent:
     def test_zero_bifunction_is_base_projection(self):
         y = resolvent(ZeroBifunction(), zero_operator(), 1.0, [2.0], BASE)
@@ -169,7 +185,7 @@ class TestResolventScalarCallCounts:
             bisect_resolvent(oracle_profile, 1.0, x, f.lo, f.hi)
             assert calls[0] <= oracle_calls[0]
             counts.append(calls[0])
-        assert float(np.median(counts)) <= 16
+        assert float(np.median(counts)) <= 10
 
     @pytest.mark.parametrize(
         "xi, x",
@@ -197,6 +213,49 @@ class TestResolventScalarCallCounts:
         assert abs(z - 0.3 - 0.2 / (1e9 + 1.0)) <= TOL
         assert abs(z - expected) <= TOL
         assert calls[0] <= 3 * oracle_calls[0]
+
+
+class TestClosingProbe:
+    """A step that lands within tol / 2 of a root, measured in g, is
+    followed by one probe at m - g(m)."""
+
+    def test_wrong_sign_probe_keeps_the_bracket_sound(self):
+        # The profile breaks the slope bound, so the probe falls short of the
+        # root and sees the sign of g(m) again.
+        r, x = 1.0, 0.1
+        profile, points = recording(softening_profile)
+        z = resolvent_scalar(profile, r, x, -1.0, 1.0)
+
+        def g(t):
+            return r * softening_profile(t) + t - x
+
+        short = [
+            (m, p) for m, p in zip(points, points[1:])
+            if 0.0 < abs(g(m)) <= 0.5 * TOL and p == m - g(m) and (g(p) < 0.0) == (g(m) < 0.0)
+        ]
+        assert short
+        assert abs(z - bisect_resolvent(softening_profile, r, x, -1.0, 1.0)) <= TOL
+
+    def test_probe_that_rounds_to_m_takes_the_adjacent_double(self):
+        # g(z) = 2z - 1 - x is exact in binary, and g(m) = -2**-60 at the
+        # step is below half a unit of m = 0.50048828125.
+        x = 2.0 ** -10 + 2.0 ** -60
+        profile, points = recording(lambda z: z - 1.0)
+        z = resolvent_scalar(profile, 1.0, x, -1.0, 1.0)
+        m, p = points[-2:]
+        g_m = (m - 1.0) + m - x
+        assert g_m < 0.0 and m - g_m == m
+        assert p == math.nextafter(m, math.inf)
+        assert abs(z - (1.0 + x) / 2.0) <= TOL
+        assert abs(z - bisect_resolvent(lambda t: t - 1.0, 1.0, x, -1.0, 1.0)) <= TOL
+
+    @pytest.mark.parametrize("x, root", [(-1.0, -0.5), (1.0, 0.5)])
+    def test_x_at_an_end_costs_no_extra_call(self, x, root):
+        # g(x) is g(lo) or g(hi), already known; each end is evaluated once.
+        profile, points = recording(lambda t: t)
+        z = resolvent_scalar(profile, 1.0, x, -1.0, 1.0)
+        assert points.count(-1.0) == 1 and points.count(1.0) == 1
+        assert abs(z - root) <= TOL
 
 
 class TestResolventFailure:
@@ -489,3 +548,57 @@ class TestCustomBifunction:
         family = ProblemFamily.from_members(BASE, [(custom, zero_operator())], [])
         with pytest.raises(ValueError, match="finite"):
             family.gep_kernel(0, 1, 1.0, np.array([0.5]))
+
+
+class TestZeroOperatorStep:
+    """A zero operator skips the forward-step arithmetic, bit for bit."""
+
+    BOX2 = Box(lo=[-1.0, -0.5], hi=[1.0, 0.5])
+    ZEROS = [zero_operator(), IsmOperator(map=np.zeros_like, alpha=1.0)]
+    BIFUNCTIONS = [
+        ZeroBifunction(),
+        CustomBifunction(oracle=lambda r, w: w / (1.0 + r)),
+    ]
+
+    @pytest.mark.parametrize("f", BIFUNCTIONS, ids=["zero", "custom"])
+    def test_matches_the_forward_step(self, f):
+        box = self.BOX2
+        family = ProblemFamily.from_members(box, [(f, A) for A in self.ZEROS], [])
+        for x in ([0.9, 0.4], [-0.0, -0.7], [1.5, 1e-300]):
+            xv = np.array(x)
+            for r in (0.25, 1.0):
+                expected = [f.resolve(r, xv - r * A(xv), box, TOL) for A in self.ZEROS]
+                rows = family.gep_kernel(0, len(self.ZEROS), r, xv)
+                assert rows.tobytes() == np.vstack(expected).tobytes()
+                for A, want in zip(self.ZEROS, expected):
+                    got = resolvent(f, A, r, xv, box)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_mutating_oracle_cannot_reach_later_members(self):
+        def halve_in_place(r, w):
+            w *= 0.5
+            return w
+
+        f = CustomBifunction(oracle=halve_in_place)
+        family = ProblemFamily.from_members(
+            self.BOX2, [(f, A) for A in self.ZEROS * 2], []
+        )
+        x = np.array([0.8, -0.4])
+        rows = family.gep_kernel(0, 4, 1.0, x)
+        np.testing.assert_array_equal(rows, np.tile([0.4, -0.2], (4, 1)))
+        np.testing.assert_array_equal(x, [0.8, -0.4])
+
+    def test_resolvent_never_returns_the_callers_array(self):
+        identity = CustomBifunction(oracle=lambda r, w: w)
+        x = np.array([0.3, 0.1])
+        for f in (identity, ZeroBifunction()):
+            y = resolvent(f, zero_operator(), 1.0, x, self.BOX2)
+            assert y is not x and not np.shares_memory(y, x)
+            np.testing.assert_array_equal(y, x)
+
+    def test_infinite_step_is_not_skipped(self):
+        # inf * 0 is NaN in the forward step, so the skip would change the
+        # result; the candidate stays non-finite and is rejected.
+        identity = CustomBifunction(oracle=lambda r, w: w)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            resolvent(identity, zero_operator(), math.inf, [0.3, 0.1], self.BOX2)

@@ -24,7 +24,7 @@ from hybridproj.problems import (
     section4_map,
 )
 from hybridproj.solver import solve
-from oracles import full_chunk
+from oracles import full_chunk, section4_coefficients, section4_thresholds
 
 
 class TestSection4Spec:
@@ -44,6 +44,12 @@ class TestSection4Spec:
     def test_sizes_validated(self):
         with pytest.raises(ValueError):
             Section4Spec(n_geps=0, n_maps=1)
+
+    @pytest.mark.parametrize("n_geps, n_maps", [(1, 1), (7, 11), (2000, 3000)])
+    def test_arrays_match_the_closed_formulas_bit_for_bit(self, n_geps, n_maps):
+        spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
+        assert spec.thresholds.tobytes() == section4_thresholds(n_geps).tobytes()
+        assert spec.coefficients.tobytes() == section4_coefficients(n_maps).tobytes()
 
     @pytest.mark.parametrize("n_geps", [1, 2, 3, 1000, 2_000_000])
     def test_thresholds_ascend_strictly(self, n_geps):
