@@ -5,6 +5,7 @@ A run is described by one JSON config file. The problem is either the
 built-in benchmark preset ("section4" with sizes N and M) or a reduced-scheme
 preset ("cor1" .. "cor5") with inline parts built from variant tags. Exit
 codes: 0 success, 1 invalid config, 2 solver failure, 3 validation failure.
+The subcommands raise ConfigError for a bad config; ``main`` reports it.
 Worker-count precedence: --workers flag, then the config field, then the
 HYBRIDPROJ_WORKERS environment variable, then 1.
 """
@@ -89,8 +90,10 @@ class ConfigError(ValueError):
 
 
 def _is_number(value, integer: bool = False) -> bool:
+    """A number that converts to a finite float; bools are not numbers."""
     kinds = int if integer else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,6 @@ class RunConfig:
     problem: dict
     x0: tuple[float, ...]
     mode: str | None = None
-    epsilon_variant: str | None = None
     schedule: dict | None = None
     stop: dict | None = None
     max_iter: int = 1000
@@ -125,10 +127,13 @@ class RunConfig:
         x0 = raw["x0"]
         if _is_number(x0):
             x0 = [x0]
-        if not isinstance(x0, (list, tuple)) or not all(_is_number(v) for v in x0):
+        if not isinstance(x0, (list, tuple)) or not x0 or not all(map(_is_number, x0)):
             raise ConfigError(
-                f"'x0' must be a number or a list of numbers, got {raw['x0']!r}"
+                f"'x0' must be a number or a nonempty list of them, got {raw['x0']!r}"
             )
+        for key in ("schedule", "stop"):
+            if not isinstance(raw.get(key, {}), (dict, type(None))):
+                raise ConfigError(f"{key!r} must be an object, got {raw[key]!r}")
         for key in ("max_iter", "workers", "projection_max_sweeps", "seed",
                     "projection_tol"):
             value = raw.get(key, 0)
@@ -164,79 +169,93 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _build_base(spec: dict):
-    kind = spec.get("kind")
-    if kind == "box":
-        return Box(lo=spec["lo"], hi=spec["hi"])
-    if kind == "ball":
-        return Ball(center=spec["center"], radius=float(spec["radius"]))
-    raise ConfigError(f"unknown base-set kind {kind!r}")
+def _read(spec: dict, key: str, convert=float, default=None):
+    """``convert(spec[key])``, or ``default`` when ``key`` is absent.
+
+    Without a default the entry is required. A missing entry or a failed
+    conversion is a ConfigError that names ``key``.
+    """
+    if key not in spec:
+        if default is None:
+            raise ConfigError(f"missing {key!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError, ArithmeticError) as err:
+        raise ConfigError(f"{key!r}: {err}") from err
 
 
-def _build_bifunction(spec: dict):
-    variant = spec.get("variant")
-    if variant == "zero":
-        return ZeroBifunction()
-    if variant == "section4":
-        return section4_bifunction(float(spec["xi"]))
-    if variant == "scalar_monotone":
-        profile = spec.get("profile", {})
-        if profile.get("kind") != "affine":
-            raise ConfigError("scalar_monotone profile supports kind 'affine'")
-        slope = float(profile.get("slope", 1.0))
-        shift = float(profile.get("shift", 0.0))
-        if slope < 0:
-            raise ConfigError("affine profile must be nondecreasing (slope >= 0)")
-        return ScalarMonotoneBifunction(
-            profile=lambda z: slope * z + shift,
-            lo=float(spec["lo"]),
-            hi=float(spec["hi"]),
-        )
-    raise ConfigError(f"unknown bifunction variant {variant!r}")
+def _positive(value) -> float:
+    if not float(value) > 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return float(value)
 
 
-def _build_operator(spec: dict):
-    variant = spec.get("variant")
-    if variant == "zero":
-        return zero_operator()
-    if variant == "affine":
-        return affine_operator(float(spec["gain"]), spec["root"])
-    raise ConfigError(f"unknown operator variant {variant!r}")
+def _build(builders: dict, spec, key: str, tag: str = "variant"):
+    """Build config part ``key`` from its object with the builder its tag names."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key!r} must be an object, got {spec!r}")
+    kind = spec.get(tag)
+    if kind not in builders:
+        raise ConfigError(f"{key!r} has unknown {tag} {kind!r}")
+    return builders[kind](spec)
 
 
-def _build_map(spec: dict):
-    variant = spec.get("variant")
-    if variant == "identity":
-        return identity_map()
-    if variant == "section4":
-        return section4_map(float(spec["c"]))
-    raise ConfigError(f"unknown map variant {variant!r}")
+def _affine_profile(spec: dict):
+    slope = _read(spec, "slope", float, 1.0)
+    shift = _read(spec, "shift", float, 0.0)
+    if slope < 0:
+        raise ConfigError("affine profile must be nondecreasing (slope >= 0)")
+    return lambda z: slope * z + shift
 
 
-def _build_solution(spec: dict | None):
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "interval":
-        return IntervalSolution(lo=float(spec["lo"]), hi=float(spec["hi"]))
-    if kind == "point":
-        return PointSolution(point=spec["value"])
-    raise ConfigError(f"unknown solution kind {kind!r}")
+def _constant(spec: dict):
+    value = _read(spec, "value")
+    return lambda n: value
 
 
-def _sequence_fn(spec: dict, name: str):
-    kind = spec.get("kind")
-    if kind == "constant":
-        value = float(spec["value"])
-        return lambda n: value
-    if kind == "inverse_offset":
-        offset = float(spec.get("offset", 2.0))
-        scale = float(spec.get("scale", 1.0))
-        return lambda n: scale / (n + offset)
-    raise ConfigError(f"schedule entry {name!r} has unknown kind {kind!r}")
+def _inverse_offset(spec: dict):
+    offset = _read(spec, "offset", _positive, 2.0)
+    scale = _read(spec, "scale", float, 1.0)
+    return lambda n: scale / (n + offset)
+
+
+# Builders of the inline parts, by the value of their tag.
+_BASES = {
+    "box": lambda s: Box(lo=_read(s, "lo", as_vector), hi=_read(s, "hi", as_vector)),
+    "ball": lambda s: Ball(center=_read(s, "center", as_vector),
+                           radius=_read(s, "radius")),
+}
+_BIFUNCTIONS = {
+    "zero": lambda s: ZeroBifunction(),
+    "section4": lambda s: section4_bifunction(_read(s, "xi")),
+    "scalar_monotone": lambda s: ScalarMonotoneBifunction(
+        profile=_build({"affine": _affine_profile}, s.get("profile", {}),
+                       "profile", "kind"),
+        lo=_read(s, "lo"), hi=_read(s, "hi"),
+    ),
+}
+_OPERATORS = {
+    "zero": lambda s: zero_operator(),
+    "affine": lambda s: affine_operator(_read(s, "gain"), _read(s, "root", as_vector)),
+}
+_MAPS = {
+    "identity": lambda s: identity_map(),
+    "section4": lambda s: section4_map(_read(s, "c")),
+}
+_SOLUTIONS = {
+    "interval": lambda s: IntervalSolution(lo=_read(s, "lo"), hi=_read(s, "hi")),
+    "point": lambda s: PointSolution(point=_read(s, "value", as_vector)),
+}
+_SEQUENCES = {"constant": _constant, "inverse_offset": _inverse_offset}
 
 
 def _apply_schedule_overrides(sched: ParamSchedule, overrides: dict) -> ParamSchedule:
+    """Replace the schedule fields the config names.
+
+    ``"k"`` is the sequence of the pseudocontraction inequality, which the
+    cut slack uses; for cor4 that is the squared sequence.
+    """
     unknown = set(overrides) - {"alpha", "beta", "r", "k", "omega", "b", "d", "e"}
     if unknown:
         raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
@@ -244,10 +263,10 @@ def _apply_schedule_overrides(sched: ParamSchedule, overrides: dict) -> ParamSch
     for name, field in (("alpha", "alpha_fn"), ("beta", "beta_fn"),
                         ("r", "r_fn"), ("k", "k_fn")):
         if name in overrides:
-            updates[field] = _sequence_fn(overrides[name], name)
+            updates[field] = _build(_SEQUENCES, overrides[name], name, "kind")
     for name in ("omega", "b", "d", "e"):
         if name in overrides:
-            updates[name] = float(overrides[name])
+            updates[name] = _read(overrides, name)
     return replace(sched, **updates)
 
 
@@ -264,6 +283,8 @@ def build_inputs(config: RunConfig, workers: int,
                  check_schedule: bool = True) -> BuildResult:
     """Turn a config into solver inputs; raises ConfigError on bad data.
 
+    This is where reading a config fails: a malformed entry, a dimension
+    mismatch or an inadmissible run is a ConfigError that names its cause.
     With ``check_schedule=False`` the admissibility conditions are left to
     the caller (the validate subcommand reports them instead of refusing to
     build).
@@ -273,22 +294,27 @@ def build_inputs(config: RunConfig, workers: int,
     try:
         if name == "section4":
             family, sched, _ = build_section4(
-                int(problem["N"]), int(problem["M"])
+                _read(problem, "N", int), _read(problem, "M", int)
             )
             solver_cfg = SolverConfig(mode="algorithm2")
         elif name in PRESET_NAMES:
+            parts = {
+                key: [_build(builders, s, key) for s in _read(problem, key, list, [])]
+                for key, builders in (("bifunctions", _BIFUNCTIONS),
+                                      ("operators", _OPERATORS), ("maps", _MAPS))
+            }
+            solution = problem.get("known_solution")
             family, solver_cfg, sched = preset(
                 name,
-                base=_build_base(problem.get("base", {})),
-                bifunctions=[_build_bifunction(s) for s in problem.get("bifunctions", [])],
-                operators=[_build_operator(s) for s in problem.get("operators", [])],
-                maps=[_build_map(s) for s in problem.get("maps", [])],
-                known_solution=_build_solution(problem.get("known_solution")),
-                omega=problem.get("omega"),
+                base=_build(_BASES, problem.get("base", {}), "base", "kind"),
+                known_solution=None if solution is None else _build(
+                    _SOLUTIONS, solution, "known_solution", "kind"),
+                omega=_read(problem, "omega") if "omega" in problem else None,
+                **parts,
             )
         else:
             raise ConfigError(f"unknown problem preset {name!r}")
-    except (KeyError, ValueError) as err:
+    except ValueError as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"invalid problem description: {err}") from err
@@ -296,13 +322,12 @@ def build_inputs(config: RunConfig, workers: int,
     if config.schedule:
         sched = _apply_schedule_overrides(sched, config.schedule)
 
-    overrides: dict[str, Any] = {}
-    if config.mode is not None:
-        overrides["mode"] = config.mode
-    if config.epsilon_variant is not None:
-        overrides["epsilon_variant"] = config.epsilon_variant
     x0 = as_vector(list(config.x0))
-
+    if x0.size != family.base.dim:
+        raise ConfigError(
+            f"'x0' has dimension {x0.size}; "
+            f"the base set has dimension {family.base.dim}"
+        )
     reference = None
     if family.known_solution is not None:
         reference = family.known_solution.project(x0)
@@ -311,30 +336,28 @@ def build_inputs(config: RunConfig, workers: int,
     spec = config.stop or {"rule": "budget"}
     rule = spec.get("rule")
     if rule == "tol_to_reference":
-        tol = 10.0 ** (-float(spec["l"])) if "l" in spec else float(spec["tol"])
-        ref = spec.get("reference")
-        ref_v = as_vector(ref) if ref is not None else reference
-        if ref_v is None:
-            raise ConfigError(
-                "tol_to_reference needs a reference point or a problem "
-                "with a known solution"
-            )
+        if "l" in spec:
+            tol = _read(spec, "l", lambda digits: _positive(10.0 ** -float(digits)))
+        else:
+            tol = _read(spec, "tol", _positive)
+        # Without a known solution the reference is required.
+        ref_v = _read(spec, "reference", as_vector, reference)
         stop = ToleranceToReference(reference=ref_v, tol=tol)
     elif rule == "residual":
-        stop = ResidualBelow(tol=float(spec["tol"]))
+        stop = ResidualBelow(tol=_read(spec, "tol", _positive))
     elif rule != "budget":
         raise ConfigError(f"unknown stop rule {rule!r}")
 
     try:
         solver_cfg = replace(
             solver_cfg,
+            mode=config.mode or solver_cfg.mode,
             stop=stop,
             max_iter=config.max_iter,
             projection_tol=config.projection_tol,
             projection_max_sweeps=config.projection_max_sweeps,
             workers=workers,
             record_history=config.record_history,
-            **overrides,
         )
         solver_cfg.check_against(family)
     except ValueError as err:
@@ -413,12 +436,7 @@ def run(config: RunConfig, *, workers: int | None = None,
     """Execute one solve and write the summary (and optional history CSV)."""
     if history is not None:
         config = replace(config, record_history=history)
-    try:
-        worker_count = resolve_workers(workers, config)
-        built = build_inputs(config, worker_count)
-    except ConfigError as err:
-        _emit_error("invalid-config", str(err))
-        return EXIT_INVALID_CONFIG
+    built = build_inputs(config, resolve_workers(workers, config))
     try:
         report = solve(built.family, built.schedule, built.solver_config, built.x0)
     except (ProjectionFailure, InfeasibleSetError, ValueError, RuntimeError) as err:
@@ -446,12 +464,7 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
     evaluated through the family kernels. A kernel error is a solver
     failure, as in ``run``.
     """
-    try:
-        worker_count = resolve_workers(None, config)
-        built = build_inputs(config, worker_count, check_schedule=False)
-    except ConfigError as err:
-        _emit_error("invalid-config", str(err))
-        return EXIT_INVALID_CONFIG
+    built = build_inputs(config, resolve_workers(None, config), check_schedule=False)
 
     family = built.family
     schedule_issues = built.schedule.violations(
@@ -517,25 +530,18 @@ def bench(config: RunConfig, worker_list: Sequence[int],
     """
     worker_list = list(worker_list)
     if not worker_list:
-        _emit_error("invalid-config", "bench needs a nonempty worker list")
-        return EXIT_INVALID_CONFIG
+        raise ConfigError("bench needs a nonempty worker list")
     if any(w < 1 for w in worker_list):
-        _emit_error("invalid-config", "worker counts must be positive")
-        return EXIT_INVALID_CONFIG
+        raise ConfigError("worker counts must be positive")
 
-    built = []
-    for w in worker_list:
-        try:
-            built.append(build_inputs(config, w))
-        except ConfigError as err:
-            _emit_error("invalid-config", str(err))
-            return EXIT_INVALID_CONFIG
+    built = build_inputs(config, worker_list[0])
+    configs = [replace(built.solver_config, workers=w) for w in worker_list]
     runs: list[list[Report]] = [[] for _ in worker_list]
     for _ in range(BENCH_ROUNDS):
-        for inputs, solves in zip(built, runs):
+        for solver_cfg, solves in zip(configs, runs):
             try:
-                solves.append(solve(inputs.family, inputs.schedule,
-                                    inputs.solver_config, inputs.x0))
+                solves.append(solve(built.family, built.schedule, solver_cfg,
+                                    built.x0))
             except (ProjectionFailure, InfeasibleSetError, ValueError,
                     RuntimeError) as err:
                 _emit_error("solver-failure", str(err))

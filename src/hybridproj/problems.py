@@ -265,37 +265,27 @@ def _norm_bound(base: BaseSet) -> float:
     raise ValueError("supply omega explicitly for custom base sets")
 
 
-def default_schedule(
-    family: ProblemFamily,
-    *,
-    beta: float | None = None,
-    r: float | None = None,
-    omega: float | None = None,
-    k_fn=None,
-) -> ParamSchedule:
+def default_schedule(family: ProblemFamily, *,
+                     omega: float | None = None) -> ParamSchedule:
     """Admissible schedule derived from the family constants.
 
-    Averaging weights default to ``1/(n+2)``; the mapping relaxation
-    defaults to the family pseudocontraction constant; resolvent steps
-    default to the modulus (safely inside ``(0, 2 * modulus)``) or 1 when
-    every operator is zero.
+    Averaging weights are ``1/(n+2)``; the mapping relaxation is the family
+    pseudocontraction constant; resolvent steps are the modulus (safely
+    inside ``(0, 2 * modulus)``) or 1 when every operator is zero; the
+    asymptotic sequence is the family's.
     """
-    beta_v = family.kappa if beta is None else beta
-    if r is None:
-        r_v = 1.0 if math.isinf(family.alpha) else family.alpha
-    else:
-        r_v = r
+    beta = family.kappa
+    r = 1.0 if math.isinf(family.alpha) else family.alpha
     omega_v = _norm_bound(family.base) if omega is None else omega
-    k = k_fn if k_fn is not None else family.k_seq
     return ParamSchedule(
         alpha_fn=lambda n: 1.0 / (n + 2),
-        beta_fn=lambda n: beta_v,
-        r_fn=lambda n: r_v,
-        k_fn=k,
+        beta_fn=lambda n: beta,
+        r_fn=lambda n: r,
+        k_fn=family.k_seq,
         omega=omega_v,
-        b=max(beta_v, 0.5 * (family.kappa + 1.0)),
-        d=r_v,
-        e=r_v,
+        b=0.5 * (beta + 1.0),
+        d=r,
+        e=r,
     )
 
 
@@ -310,10 +300,11 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
       operators), plus mappings.
     - ``cor2``: variational-inequality members only, plus mappings.
     - ``cor3``: a single bifunction, operator, and mapping.
-    - ``cor4``: asymptotically nonexpansive mappings (declared with zero
-      pseudocontraction constant); each is wrapped with the squared
-      asymptotic sequence, the mapping relaxation is pinned to zero, and the
-      cut slack uses the squared variant with the original sequence.
+    - ``cor4``: asymptotically nonexpansive mappings with constants
+      ``k_n``, declared with zero pseudocontraction constant. Each becomes an
+      asymptotic 0-strict pseudocontraction with the sequence ``k_n^2``
+      (Kim & Xu, 2008), so the cut slack is ``(max_i k_i(n)^2 - 1)`` times
+      ``(||x_n|| + omega)^2`` and the mapping relaxation is zero.
     - ``cor5``: equilibrium members and plain mappings with exact cuts.
     """
     if name == "section4":
@@ -323,7 +314,7 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
     bifunctions = tuple(bifunctions)
     operators = tuple(operators)
     maps = tuple(maps)
-    mode, epsilon_variant, overrides = "algorithm1", "standard", {}
+    mode = "algorithm1"
 
     if name == "cor1":
         geps = tuple((f, zero_operator()) for f in bifunctions) + tuple(
@@ -343,7 +334,6 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
                 "cor4 expects asymptotically nonexpansive mappings declared "
                 "with zero pseudocontraction constant"
             )
-        seqs = tuple(s.k_seq for s in maps)
         maps = tuple(
             replace(s, asymptotic=True, k_seq=_squared_sequence(s.k_seq))
             for s in maps
@@ -351,10 +341,6 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
         if not operators:
             operators = tuple(zero_operator() for _ in bifunctions)
         geps = tuple(zip(bifunctions, operators, strict=True))
-        epsilon_variant = "squared"
-        overrides = dict(
-            beta=0.0, k_fn=lambda n: max((k(n) for k in seqs), default=1.0)
-        )
     else:  # cor5
         if any(s.asymptotic for s in maps):
             raise ValueError("cor5 takes plain pseudocontractions")
@@ -364,9 +350,14 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
     family = ProblemFamily.from_members(
         base, geps, maps, known_solution=known_solution
     )
-    cfg = SolverConfig(mode=mode, epsilon_variant=epsilon_variant)
-    return family, cfg, default_schedule(family, omega=omega, **overrides)
+    return family, SolverConfig(mode=mode), default_schedule(family, omega=omega)
 
 
 def _squared_sequence(k_seq):
-    return lambda n: k_seq(n) ** 2
+    # k * |k| is k * k bit for bit when k >= 0 (k ** 2 is not always), and
+    # keeps a declared k < 1 below 1 for the schedule check.
+    def squared(n):
+        k = k_seq(n)
+        return k * abs(k)
+
+    return squared

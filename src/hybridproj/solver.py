@@ -133,7 +133,6 @@ StopRule = ToleranceToReference | ResidualBelow
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = "algorithm2"
-    epsilon_variant: str = "standard"
     stop: StopRule | None = None
     max_iter: int = 1000
     projection_tol: float = 1e-12
@@ -144,8 +143,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in ("algorithm1", "algorithm2"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.epsilon_variant not in ("standard", "squared"):
-            raise ValueError(f"unknown relaxation variant {self.epsilon_variant!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.workers < 1:
@@ -160,6 +157,12 @@ class SolverConfig:
             raise ValueError(
                 "algorithm2 handles plain pseudocontractions only; "
                 "use algorithm1 for asymptotic mappings"
+            )
+        if (isinstance(self.stop, ToleranceToReference)
+                and self.stop.reference.size != problem.base.dim):
+            raise ValueError(
+                f"stop reference has dimension {self.stop.reference.size}; "
+                f"the base set has dimension {problem.base.dim}"
             )
 
 
@@ -204,24 +207,18 @@ class Report:
     wall_time_s: float
 
 
-def cut_relaxation(k_n: float, x, omega: float, variant: str = "standard") -> float:
-    """Slack added to the halfspace cut for asymptotic families.
+def cut_relaxation(k_n: float, x, omega: float) -> float:
+    """Slack ``(k_n - 1) * (||x|| + omega)^2`` added to an asymptotic cut.
 
-    The ``standard`` form is ``(k_n - 1) * (||x|| + omega)^2``; the
-    ``squared`` form replaces ``k_n - 1`` with ``k_n^2 - 1`` and suits
-    families whose mappings only bound powers linearly in ``k_n``. Both
-    vanish when ``k_n = 1``.
+    ``k_n`` is the sequence of the pseudocontraction inequality (for cor4,
+    the largest squared constant of its maps); the slack vanishes at 1.
     """
     if k_n < 1.0:
         raise ValueError("asymptotic constant must be at least 1")
     if omega < 0.0:
         raise ValueError("solution norm bound must be nonnegative")
     reach = float(np.linalg.norm(as_vector(x))) + omega
-    if variant == "standard":
-        return (k_n - 1.0) * reach * reach
-    if variant == "squared":
-        return (k_n * k_n - 1.0) * reach * reach
-    raise ValueError(f"unknown relaxation variant {variant!r}")
+    return (k_n - 1.0) * reach * reach
 
 
 def iterate(
@@ -285,7 +282,7 @@ def iterate(
     t2 = time.perf_counter()
 
     if cfg.mode == "algorithm1":
-        eps = cut_relaxation(sched.k_fn(n), x, sched.omega, cfg.epsilon_variant)
+        eps = cut_relaxation(sched.k_fn(n), x, sched.omega)
     else:
         eps = 0.0
     state.nested.add_cut(halfspace_from_iterate(x, z_far, eps))
@@ -356,6 +353,11 @@ def solve(
     ``max_iter`` is a normal outcome reported as reason ``"budget"``.
     """
     start_v = as_vector(x0)
+    if start_v.size != problem.base.dim:
+        raise ValueError(
+            f"anchor x0 has dimension {start_v.size}; "
+            f"the base set has dimension {problem.base.dim}"
+        )
     if not problem.base.contains(start_v, 1e-9):
         raise ValueError("anchor x0 must belong to the base set")
     cfg.check_against(problem)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -48,6 +49,36 @@ def affine_vi_config(**overrides):
     return data
 
 
+COR5_PROBLEM = {
+    "preset": "cor5",
+    "base": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+    "bifunctions": [{"variant": "section4", "xi": -0.5}],
+    "maps": [{"variant": "section4", "c": 1.5}],
+}
+
+
+def ball_vi_config():
+    """cor2 on the unit disc: two affine operators share the root (0.5, 0.2).
+
+    Ten iterations stay short of the false InfeasibleSetError that stops
+    this run at iteration 14 (ROADMAP item 2).
+    """
+    return {
+        "problem": {
+            "preset": "cor2",
+            "base": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "operators": [
+                {"variant": "affine", "gain": 1.0, "root": [0.5, 0.2]},
+                {"variant": "affine", "gain": 2.0, "root": [0.5, 0.2]},
+            ],
+            "maps": [{"variant": "identity"}],
+        },
+        "x0": [0.6, -0.5],
+        "stop": {"rule": "tol_to_reference", "tol": 1e-6, "reference": [0.5, 0.2]},
+        "max_iter": 10,
+    }
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -83,21 +114,56 @@ class TestRunConfig:
             load_config(tmp_path / "absent.json")
 
     @pytest.mark.parametrize(
-        "key, value",
+        "overrides, key",
         [
-            ("x0", "1.0"),
-            ("x0", None),
-            ("max_iter", "5"),
-            ("workers", "2"),
-            ("projection_tol", "x"),
+            ({"x0": "1.0"}, "x0"),
+            ({"x0": None}, "x0"),
+            ({"max_iter": "5"}, "max_iter"),
+            ({"workers": "2"}, "workers"),
+            ({"projection_tol": "x"}, "projection_tol"),
+            ({"x0": [1e400]}, "x0"),
+            ({"x0": [math.nan]}, "x0"),
+            ({"stop": "budget"}, "stop"),
+            ({"stop": {"rule": "residual"}}, "tol"),
+            ({"stop": {"rule": "tol_to_reference"}}, "tol"),
+            ({"stop": {"rule": "residual", "tol": 0}}, "tol"),
+            ({"schedule": {"alpha": 0.5}}, "alpha"),
+            ({"schedule": {"beta": {"kind": "constant"}}}, "value"),
+            ({"schedule": {"b": "x"}}, "b"),
+            ({"problem": dict(COR5_PROBLEM, base=[1, 2])}, "base"),
+            ({"problem": dict(COR5_PROBLEM, bifunctions=[
+                {"variant": "section4", "xi": [0.1]}])}, "xi"),
+        ],
+        ids=[
+            "x0-1.0", "x0-None", "max_iter-5", "workers-2", "projection_tol-x",
+            "x0-inf", "x0-nan", "stop-string", "residual-without-tol",
+            "tol_to_reference-without-tol", "tol-zero", "alpha-number",
+            "constant-without-value", "b-string", "base-list", "xi-list",
         ],
     )
-    def test_malformed_value_is_invalid_config(self, tmp_path, capsys, key, value):
-        cfg = write_config(tmp_path, small_benchmark_config(**{key: value}))
+    def test_malformed_value_is_invalid_config(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, small_benchmark_config(**overrides))
         assert main(["run", "--config", cfg]) == EXIT_INVALID_CONFIG
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "invalid-config"
-        assert key in error["detail"]
+        assert f"'{key}'" in error["detail"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"x0": [0.5]},
+            {"stop": {"rule": "tol_to_reference", "tol": 1e-6, "reference": [0.5]}},
+        ],
+        ids=["anchor", "reference"],
+    )
+    def test_dimension_mismatch_is_invalid_config(self, tmp_path, capsys, overrides):
+        assert main(["run", "--config", write_config(tmp_path, ball_vi_config())]) == EXIT_OK
+        capsys.readouterr()
+        data = dict(ball_vi_config(), **overrides)
+        assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_INVALID_CONFIG
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "invalid-config"
+        assert "dimension 2" in error["detail"]
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,11 +275,41 @@ class TestPresets:
             "cor4", base=base, bifunctions=[ZeroBifunction()], maps=[drift]
         )
         assert cfg.mode == "algorithm1"
-        assert cfg.epsilon_variant == "squared"
         assert sched.beta_fn(5) == 0.0
-        # family sequence is squared, schedule keeps the original
-        assert family.k_seq(0) == pytest.approx(1.5**2)
-        assert sched.k_fn(0) == pytest.approx(1.5)
+        # The family sequence is squared, and the schedule slack uses it.
+        assert family.k_seq(0) == 1.5 * 1.5
+        assert sched.k_fn is family.k_seq
+
+    def test_cor4_slack_known_answer(self):
+        # eps_n = (max_i k_i(n)^2 - 1) * (|x_n| + omega)^2; the second map
+        # dominates for n <= 4, the first after. At n = 6 and 56 the first
+        # constant has k ** 2 != k * k on some hosts, so a naive square
+        # shows as a bit difference there.
+        seqs = (lambda n: 1.0 + 1.87 / (n + 2), lambda n: 1.0 + 12.0 / (n + 2) ** 2)
+        maps = [
+            PseudoContraction(map=lambda v: 0.5 * v, kappa=0.0, k_seq=seqs[0]),
+            PseudoContraction(map=lambda v: -0.3 * v, kappa=0.0, k_seq=seqs[1]),
+        ]
+        family, cfg, sched = preset(
+            "cor4", base=Box(lo=[-1.0], hi=[1.0]),
+            bifunctions=[section4_bifunction(-0.4)], maps=maps, omega=1.25,
+        )
+        for workers in (1, 2):
+            report = solve(family, sched, replace(
+                cfg, max_iter=60, record_history=True, workers=workers), [0.9])
+            assert report.iterations == 60
+            for rec in report.history:
+                k2 = max(k(rec.n) * k(rec.n) for k in seqs)
+                reach = abs(float(rec.x_prev[0])) + 1.25
+                assert rec.eps == (k2 - 1.0) * reach * reach
+                assert rec.eps > 0.0
+
+    @pytest.mark.parametrize("k", [0.5, -2.0])
+    def test_cor4_constant_below_one_reported(self, k):
+        drift = PseudoContraction(map=lambda v: v, kappa=0.0, k_seq=lambda n: k)
+        family, _, sched = preset("cor4", base=Box(lo=[-1.0], hi=[1.0]), maps=[drift])
+        issues = sched.violations(family.kappa, family.alpha, 5)
+        assert any(v.startswith("k_0=") and v.endswith("below 1") for v in issues)
 
     def test_cor4_rejects_positive_constant(self):
         base = Box(lo=[-1.0], hi=[1.0])
@@ -294,8 +325,6 @@ class TestPresets:
         )
         fam4, cfg4, sched4 = preset("cor4", base=base, bifunctions=[bif], maps=[asym])
         fam5, cfg5, sched5 = preset("cor5", base=base, bifunctions=[bif], maps=[plain])
-        from dataclasses import replace
-
         r4 = solve(fam4, sched4, replace(cfg4, max_iter=40, record_history=True), [1.0])
         r5 = solve(
             fam5,

@@ -63,22 +63,21 @@ def initial_state(x0, base=BASE):
 
 class TestCutRelaxation:
     def test_unit_sequence_vanishes(self):
-        assert cut_relaxation(1.0, [0.7], 1.0, "standard") == 0.0
-        assert cut_relaxation(1.0, [0.7], 1.0, "squared") == 0.0
+        assert cut_relaxation(1.0, [0.7], 1.0) == 0.0
+        assert cut_relaxation(1.0, [0.3, -0.4], 2.0) == 0.0
 
     def test_standard_value(self):
-        assert cut_relaxation(1.01, [1.0], 1.0, "standard") == pytest.approx(0.04)
-
-    def test_squared_value(self):
-        assert cut_relaxation(1.01, [1.0], 1.0, "squared") == pytest.approx(0.0804)
+        assert cut_relaxation(1.01, [1.0], 1.0) == pytest.approx(0.04)
+        # ||(3, 4)|| = 5, so (1.5 - 1) * (5 + 1)^2 exactly.
+        assert cut_relaxation(1.5, [3.0, 4.0], 1.0) == 18.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             cut_relaxation(0.99, [1.0], 1.0)
         with pytest.raises(ValueError):
             cut_relaxation(1.0, [1.0], -1.0)
-        with pytest.raises(ValueError):
-            cut_relaxation(1.0, [1.0], 1.0, "cubic")
+        with pytest.raises(TypeError):
+            cut_relaxation(1.0, [1.0], 1.0, "squared")
 
 
 class TestSelectFurthest:
@@ -337,6 +336,29 @@ class TestSolve:
         family, sched, _ = build_section4(3, 3)
         with pytest.raises(ValueError):
             solve(family, sched, SolverConfig(max_iter=1), [2.0])
+
+    def test_anchor_of_wrong_dimension_rejected(self):
+        # A 1-D anchor on a 2-D box is rejected before the membership test.
+        family = ProblemFamily.from_members(
+            Box(lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+            [(ZeroBifunction(), affine_operator(1.0, [0.5, 0.2]))],
+            [identity_map()],
+        )
+        with pytest.raises(ValueError, match="anchor x0 has dimension 1; "
+                           "the base set has dimension 2"):
+            solve(family, flat_schedule(), SolverConfig(max_iter=1), [0.5])
+
+    def test_reference_of_wrong_dimension_rejected(self):
+        family = ProblemFamily.from_members(
+            Box(lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+            [(ZeroBifunction(), affine_operator(1.0, [0.5, 0.2]))],
+            [identity_map()],
+        )
+        cfg = SolverConfig(stop=ToleranceToReference(reference=[0.5], tol=1e-6))
+        with pytest.raises(ValueError, match="stop reference has dimension 1; "):
+            cfg.check_against(family)
+        with pytest.raises(ValueError, match="stop reference has dimension 1; "):
+            solve(family, flat_schedule(), cfg, [0.6, -0.5])
 
     def test_mode2_rejects_asymptotic_maps(self):
         s = PseudoContraction(
