@@ -284,7 +284,8 @@ def build_inputs(config: RunConfig, workers: int,
     """Turn a config into solver inputs; raises ConfigError on bad data.
 
     This is where reading a config fails: a malformed entry, a dimension
-    mismatch or an inadmissible run is a ConfigError that names its cause.
+    mismatch, an anchor outside the base set or an inadmissible run is a
+    ConfigError that names its cause.
     With ``check_schedule=False`` the admissibility conditions are left to
     the caller (the validate subcommand reports them instead of refusing to
     build).
@@ -328,6 +329,8 @@ def build_inputs(config: RunConfig, workers: int,
             f"'x0' has dimension {x0.size}; "
             f"the base set has dimension {family.base.dim}"
         )
+    if not family.base.contains(x0, 1e-9):
+        raise ConfigError(f"anchor 'x0' {list(config.x0)} lies outside the base set")
     reference = None
     if family.known_solution is not None:
         reference = family.known_solution.project(x0)
@@ -481,12 +484,15 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
         try:
             for _ in range(10):
                 u = family.known_solution.project(family.base.sample(rng))
-                for evaluate, count in (
-                    (gep_chunk_evaluator(family, r0, u), family.n_geps),
-                    (map_chunk_evaluator(family, 1, u), family.n_maps),
+                for evaluate, count, moved in (
+                    (gep_chunk_evaluator(family, r0, u), family.n_geps,
+                     family.gep_moved(r0, u)),
+                    (map_chunk_evaluator(family, 1, u), family.n_maps,
+                     family.map_moved(1, u)),
                 ):
                     if count:
-                        far = furthest_candidate(evaluate, count, u, fixed=u)
+                        far = furthest_candidate(evaluate, count, u, fixed=u,
+                                                 moved=moved)
                         solution_gap = max(solution_gap, far.distance)
         except (ValueError, RuntimeError) as err:
             _emit_error("solver-failure", str(err))

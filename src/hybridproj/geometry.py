@@ -208,6 +208,9 @@ class Halfspace:
 
     normal: np.ndarray
     offset: float
+    # Derived once from ``normal``: a projection reads them every sweep.
+    _degenerate: bool = field(init=False, repr=False, compare=False)
+    _norm2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=np.float64)
@@ -216,12 +219,14 @@ class Halfspace:
         if not np.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
         object.__setattr__(self, "normal", n)
-        if self.is_degenerate and self.offset < 0:
+        object.__setattr__(self, "_degenerate", not np.any(n))
+        object.__setattr__(self, "_norm2", float(n @ n))
+        if self._degenerate and self.offset < 0:
             raise ValueError("zero normal requires a nonnegative offset")
 
     @property
     def is_degenerate(self) -> bool:
-        return not np.any(self.normal)
+        return self._degenerate
 
     def value(self, v: np.ndarray) -> float:
         """Signed constraint value ``<normal, v> - offset`` (<= 0 inside)."""
@@ -231,12 +236,12 @@ class Halfspace:
         return self.value(v) <= tol
 
     def project(self, p: np.ndarray) -> np.ndarray:
-        if self.is_degenerate:
+        if self._degenerate:
             return np.array(p, dtype=np.float64)
         excess = self.value(p)
         if excess <= 0.0:
             return np.array(p, dtype=np.float64)
-        return p - (excess / float(self.normal @ self.normal)) * self.normal
+        return p - (excess / self._norm2) * self.normal
 
 
 @dataclass
@@ -336,7 +341,7 @@ def project_nested(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    active = [cut for cut in nested.cuts if not cut.is_degenerate]
+    active = [cut for cut in nested.cuts if not cut._degenerate]
     if not active:
         return nested.base.project(start)
 

@@ -191,10 +191,11 @@ def identity_map() -> PseudoContraction:
 #   gep kernel: (lo, hi, r, x) -> resolvent candidates, shape (hi - lo, d)
 #   map kernel: (lo, hi, nominal_power, point) -> mapped points, shape (hi - lo, d);
 # a map kernel applies each member at its effective power (plain members
-# always 1). Either kernel may return only the first k < hi - lo rows when
-# every member past them leaves its input unchanged: T_r(x - r A x) = x for
-# a gep member, S_j(point) = point for a mapping. Returned arrays are new
-# and owned by the caller.
+# always 1). Returned arrays are new and owned by the caller. Each kernel
+# has a moved-prefix reporter taking the same arguments without lo and hi:
+# it returns a k such that every member from k on leaves its input
+# unchanged (T_r(x - r A x) = x for a gep member, S_j(point) = point for a
+# mapping), and the kernel is called only for members below k.
 GepKernel = Callable[[int, int, float, np.ndarray], np.ndarray]
 MapKernel = Callable[[int, int, int, np.ndarray], np.ndarray]
 
@@ -205,11 +206,12 @@ class ProblemFamily:
 
     Fields ``alpha``, ``kappa`` and ``k_seq`` are the family-wide reductions
     (min modulus, max constant, pointwise max sequence over the asymptotic
-    mappings). ``gep_kernel`` and ``map_kernel`` evaluate chunks of members.
-    Use :meth:`from_members` to compute all of these from member objects;
-    builders of very large families pass exact analytic values and
-    closed-form kernels instead, so that members never need to be
-    materialized.
+    mappings). ``gep_kernel`` and ``map_kernel`` evaluate chunks of members;
+    ``gep_moved`` and ``map_moved`` report their moved prefixes, and by
+    default count every member as moved. Use :meth:`from_members` to compute
+    all of these from member objects; builders of very large families pass
+    exact analytic values and closed-form kernels instead, so that members
+    never need to be materialized.
     """
 
     base: BaseSet
@@ -223,10 +225,16 @@ class ProblemFamily:
     known_solution: Any = None
     # Family-level flag so huge lazy member sequences never need a scan.
     has_asymptotic_maps: bool = False
+    gep_moved: Callable[[float, np.ndarray], int] | None = None
+    map_moved: Callable[[int, np.ndarray], int] | None = None
 
     def __post_init__(self):
         if len(self.geps) == 0 and len(self.maps) == 0:
             raise ValueError("a problem family needs at least one member")
+        if self.gep_moved is None:
+            object.__setattr__(self, "gep_moved", lambda r, x, k=len(self.geps): k)
+        if self.map_moved is None:
+            object.__setattr__(self, "map_moved", lambda power, v, k=len(self.maps): k)
         if not self.alpha > 0:
             raise ValueError("family modulus must be positive")
         if not (0.0 <= self.kappa < 1.0):

@@ -1,19 +1,21 @@
 """Deterministic data-parallel candidate evaluation.
 
 Each solver phase evaluates a family of candidate points and selects the one
-furthest from a reference point. The family is split into contiguous index
-chunks; a family larger than one chunk runs on the worker threads, one
-chunk per task. Every candidate value and distance is computed elementwise,
-so it does not depend on the chunk layout. The reduction walks chunks in
-index order and keeps a strictly greater maximum, which reproduces a global
-first-occurrence argmax. Results are therefore identical for any worker
-count, including 1.
+furthest from a reference point. Only the moved prefix of the family is
+evaluated: every member past it leaves the evaluation point unchanged, so
+that point stands for all of them as one candidate at the prefix's end. The
+prefix is walked in blocks of at most ``TARGET_CHUNK_ROWS`` rows; with a
+worker pool it is first split into one contiguous share per worker. Every
+candidate value and distance is computed elementwise, so it does not depend
+on the block layout. The reduction walks blocks in index order and keeps a
+strictly greater maximum, which reproduces a global first-occurrence argmax.
+Results are therefore identical for any worker count, including 1.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,17 +24,18 @@ import numpy as np
 __all__ = ["Furthest", "chunk_ranges", "furthest_candidate", "squared_distances"]
 
 # Batch evaluator contract: evaluate(lo, hi) returns the candidate points for
-# members lo..lo+k-1 as an array of shape (k, d) with k <= hi - lo. Members
-# lo+k..hi-1 map the evaluation point to itself, so a full chunk would hold
-# that point in each of their rows; k < hi - lo needs the caller to pass
-# that point to furthest_candidate. The returned array is owned by the
-# caller and may be mutated.
+# members lo..hi-1 as an array of shape (hi - lo, d). It is called only for
+# members of the moved prefix. The returned array is owned by the caller and
+# may be mutated.
 ChunkEvaluator = Callable[[int, int], np.ndarray]
 
-# Cap on rows per chunk. Keeping chunk temporaries a few megabytes large lets
-# the allocator reuse them instead of remapping fresh pages every pass, which
-# costs several times the arithmetic at multi-million-member scale.
-TARGET_CHUNK_ROWS = 262_144
+# Cap on rows per block. A float64 temporary of 32,768 rows is 256 KiB, so a
+# block's temporaries stay in a 2 MiB L2 cache. A 700k-member section4
+# resolvent pass took 3.0 ms with these blocks, 6.2 ms with 262,144-row
+# blocks (2 MiB each) and 3.7 ms with 8,192-row blocks, where the per-block
+# Python cost outweighs the cache gain (2-vCPU x86-64 host, 2 MiB L2 per
+# core, numpy 2.4).
+TARGET_CHUNK_ROWS = 32_768
 
 
 @dataclass(frozen=True)
@@ -68,38 +71,24 @@ def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dist2.sum(axis=1) if x.size > 1 else dist2.reshape(-1)
 
 
-def _chunk_best(
-    evaluate: ChunkEvaluator, lo: int, hi: int, x: np.ndarray,
-    fixed: np.ndarray | None = None,
-) -> Furthest:
-    points = np.asarray(evaluate(lo, hi), dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != x.size or points.shape[0] > hi - lo:
-        raise ValueError(
-            f"evaluator returned shape {points.shape}, expected {(hi - lo, x.size)}"
-        )
-    k = points.shape[0]
-    if k < hi - lo and fixed is None:
-        raise ValueError(
-            f"evaluator returned {k} of {hi - lo} rows and no fixed point was given"
-        )
+def _chunk_best(evaluate: ChunkEvaluator, lo: int, hi: int, x: np.ndarray) -> Furthest:
     best = None
-    if k > 0:
+    for start in range(lo, hi, TARGET_CHUNK_ROWS):
+        stop = min(start + TARGET_CHUNK_ROWS, hi)
+        points = np.asarray(evaluate(start, stop), dtype=np.float64)
+        if points.shape != (stop - start, x.size):
+            raise ValueError(f"evaluator returned shape {points.shape}, "
+                             f"expected {(stop - start, x.size)}")
         dist2 = squared_distances(points, x)
         i = int(np.argmax(dist2))
         d2 = float(dist2[i])
         # argmax returns the first NaN, so one check at the winner catches
-        # a non-finite candidate anywhere in the head.
+        # a non-finite candidate anywhere in the block.
         if not math.isfinite(d2):
-            raise ValueError(
-                f"member {lo + i} gave a candidate at non-finite squared distance {d2}"
-            )
-        best = Furthest(index=lo + i, point=np.array(points[i]), dist2=d2)
-    if k < hi - lo:
-        # Every tail row equals ``fixed``: its first index is the tail's
-        # argmax, and it must beat the head strictly to keep ties earlier.
-        tail2 = float(squared_distances(fixed[np.newaxis], x)[0])
-        if best is None or tail2 > best.dist2:
-            best = Furthest(index=lo + k, point=np.array(fixed), dist2=tail2)
+            raise ValueError(f"member {start + i} gave a candidate at non-finite "
+                             f"squared distance {d2}")
+        if best is None or d2 > best.dist2:
+            best = Furthest(index=start + i, point=np.array(points[i]), dist2=d2)
     return best
 
 
@@ -110,36 +99,49 @@ def furthest_candidate(
     fixed: np.ndarray | None = None,
     pool: ThreadPoolExecutor | None = None,
     workers: int = 1,
+    moved: int | None = None,
 ) -> Furthest:
-    """Evaluate ``count`` candidates and return the furthest one from ``x``.
+    """Return the furthest from ``x`` of ``count`` candidates.
 
-    Ties break toward the smallest index. When a pool is given the chunks run
-    on its threads; the reduction order stays fixed either way. ``fixed`` is
-    the point the evaluator's members are applied to: an evaluator may then
-    stop a chunk early, and each member it leaves out counts as the
-    candidate ``fixed``. Without it every chunk must come back full. A
-    candidate at a non-finite distance from ``x`` raises ``ValueError``
-    naming its member.
+    Only members ``0..moved-1`` are evaluated (all ``count`` by default).
+    Each member from ``moved`` on counts as the candidate ``fixed``, the
+    point the members are applied to; it is scored once, at index ``moved``.
+    Ties break toward the smallest index. When a pool is given and the
+    prefix spans more than one block, it runs as one contiguous share per
+    worker, the first on the calling thread; the reduction order stays fixed
+    either way. A candidate at a non-finite distance from ``x`` raises
+    ``ValueError`` naming its member.
     """
     if count <= 0:
         raise ValueError("candidate family must be nonempty")
-    if fixed is not None:
+    moved = count if moved is None else moved
+    if not 0 <= moved <= count:
+        raise ValueError(f"moved prefix {moved} lies outside 0..{count}")
+    if moved < count:
+        if fixed is None:
+            raise ValueError(f"{count - moved} members left out without a fixed point")
         fixed = np.asarray(fixed, dtype=np.float64)
         if fixed.shape != x.shape:
             raise ValueError(f"fixed point has shape {fixed.shape}, expected {x.shape}")
-    parts = -(-count // TARGET_CHUNK_ROWS)
-    # A family that fits in one chunk stays on the calling thread: pool
+    # A prefix that fits in one block stays on the calling thread: pool
     # dispatch costs more than splitting it saves.
-    if pool is not None and parts > 1:
-        parts = max(parts, workers)
-    ranges = chunk_ranges(count, parts)
-    if pool is None or len(ranges) == 1:
-        results = [_chunk_best(evaluate, lo, hi, x, fixed) for lo, hi in ranges]
+    split = pool is not None and moved > TARGET_CHUNK_ROWS
+    shares = chunk_ranges(moved, workers if split else 1)
+    if len(shares) <= 1:
+        results = [_chunk_best(evaluate, lo, hi, x) for lo, hi in shares]
     else:
-        futures = [
-            pool.submit(_chunk_best, evaluate, lo, hi, x, fixed) for lo, hi in ranges
-        ]
-        results = [f.result() for f in futures]
+        futures = [pool.submit(_chunk_best, evaluate, *share, x) for share in shares[1:]]
+        try:
+            results = [_chunk_best(evaluate, *shares[0], x)]
+        finally:
+            # No share outlives the call, even when the first one raises.
+            wait(futures)
+        results += [f.result() for f in futures]
+    if moved < count:
+        # Every left-out member's candidate is ``fixed``: its first index is
+        # ``moved``, and it must beat the prefix strictly to keep ties earlier.
+        tail2 = float(squared_distances(fixed[np.newaxis], x)[0])
+        results.append(Furthest(index=moved, point=np.array(fixed), dist2=tail2))
     best = results[0]
     for candidate in results[1:]:
         if candidate.dist2 > best.dist2:

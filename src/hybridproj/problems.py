@@ -189,27 +189,29 @@ def _section4_kernels(spec: Section4Spec):
     def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
         if r != 1.0:
             raise ValueError("closed-form benchmark kernel requires unit step r=1")
-        point = float(x[0])
         xi = thresholds[lo:hi]
-        # Thresholds ascend, so the members that fix the point (xi > point)
-        # form a suffix of the chunk; only the moved prefix is returned.
-        split = int(np.searchsorted(xi, point, side="right"))
-        moved = point - xi[:split]
+        moved = float(x[0]) - xi
         np.arctan(moved, out=moved)
-        moved += xi[:split]
+        moved += xi
         return moved.reshape(-1, 1)
 
+    def gep_moved(r: float, x: np.ndarray) -> int:
+        # Thresholds ascend, so the members that fix the point (xi > point)
+        # form a suffix of the family.
+        return int(np.searchsorted(thresholds, float(x[0]), side="right"))
+
     def map_kernel(lo: int, hi: int, power: int, v: np.ndarray) -> np.ndarray:
-        # Members are plain pseudocontractions: effective power is one. Every
-        # member fixes a negative point, so none is returned for one.
+        # Members are plain pseudocontractions: effective power is one.
         point = float(v[0])
-        if point < 0.0:
-            return np.empty((0, 1))
         s = coefficients[lo:hi] * (-point * point)
         s += point
         return s.reshape(-1, 1)
 
-    return gep_kernel, map_kernel
+    def map_moved(power: int, v: np.ndarray) -> int:
+        # Every member fixes a negative point.
+        return 0 if float(v[0]) < 0.0 else spec.n_maps
+
+    return gep_kernel, gep_moved, map_kernel, map_moved
 
 
 def build_section4(n_geps: int, n_maps: int):
@@ -225,7 +227,7 @@ def build_section4(n_geps: int, n_maps: int):
     thresholds = spec.thresholds
     coefficients = spec.coefficients
     base = Box(lo=[-1.0], hi=[1.0])
-    gep_kernel, map_kernel = _section4_kernels(spec)
+    gep_kernel, gep_moved, map_kernel, map_moved = _section4_kernels(spec)
 
     def gep_member(i: int):
         return (section4_bifunction(float(thresholds[i])), zero_operator())
@@ -243,6 +245,8 @@ def build_section4(n_geps: int, n_maps: int):
         gep_kernel=gep_kernel,
         map_kernel=map_kernel,
         known_solution=IntervalSolution(lo=-1.0, hi=spec.reference),
+        gep_moved=gep_moved,
+        map_moved=map_moved,
     )
     schedule = ParamSchedule(
         alpha_fn=lambda n: 1.0 / (n + 2),

@@ -250,6 +250,7 @@ def iterate(
             fixed=x,
             pool=pool,
             workers=cfg.workers,
+            moved=problem.gep_moved(r_n, x),
         )
         y_far, i_far, res_y = y_sel.point, y_sel.index, y_sel.distance
     else:
@@ -271,6 +272,7 @@ def iterate(
             fixed=y_far,
             pool=pool,
             workers=cfg.workers,
+            moved=problem.map_moved(nominal_power, y_far),
         )
         z_far = s_sel.point * scale + mix
         j_far = s_sel.index
@@ -312,6 +314,7 @@ def iterate(
                 fixed=x,
                 pool=pool,
                 workers=cfg.workers,
+                moved=problem.map_moved(1, x),
             ).distance
         else:
             res_s = 0.0

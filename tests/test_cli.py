@@ -165,6 +165,13 @@ class TestRunConfig:
         assert error["error"] == "invalid-config"
         assert "dimension 2" in error["detail"]
 
+    def test_anchor_outside_base_is_invalid_config(self, tmp_path, capsys):
+        data = dict(ball_vi_config(), x0=[0.9, 0.9])
+        assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_INVALID_CONFIG
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "invalid-config"
+        assert "outside the base set" in error["detail"]
+
 
 class TestRun:
     def test_benchmark_run_and_artifacts(self, tmp_path, capsys):

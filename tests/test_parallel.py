@@ -1,3 +1,4 @@
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -109,6 +110,8 @@ def test_single_chunk_family_stays_on_calling_thread(count):
 
 
 def test_large_family_splits_across_workers():
+    # One contiguous share per worker; each share walks blocks of at most
+    # TARGET_CHUNK_ROWS rows, so both shares here are single blocks.
     count = TARGET_CHUNK_ROWS + 1
     calls = []
 
@@ -121,97 +124,164 @@ def test_large_family_splits_across_workers():
     assert sorted(calls) == chunk_ranges(count, 2)
 
 
-def short_evaluator(points, moving, fixed):
-    """Evaluator for members ``points[i]`` where ``moving[i]``, ``fixed``
-    elsewhere: each chunk stops after its last moving member."""
+def test_shares_split_only_the_moved_prefix(monkeypatch):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 100)
+    count, moved = 10_000, 450
+    calls = []
 
     def evaluate(lo, hi):
-        last = np.flatnonzero(moving[lo:hi])
-        k = int(last[-1]) + 1 if last.size else 0
-        return np.where(moving[lo:lo + k, None], points[lo:lo + k], fixed)
+        calls.append((lo, hi))
+        return np.zeros((hi - lo, 1))
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        furthest_candidate(evaluate, count, np.zeros(1), fixed=np.zeros(1),
+                           pool=pool, workers=2, moved=moved)
+    # Shares [0, 225) and [225, 450), each walked in blocks of 100 rows.
+    assert sorted(calls) == [(0, 100), (100, 200), (200, 225),
+                             (225, 325), (325, 425), (425, 450)]
+
+
+def moved_evaluator(points, calls=None):
+    """Evaluator over the rows of ``points``; logs each call in ``calls``."""
+
+    def evaluate(lo, hi):
+        if calls is not None:
+            calls.append((lo, hi))
+        return points[lo:hi].copy()
 
     return evaluate
 
 
 def test_empty_head_tail_wins_at_lo():
+    # An empty moved prefix: the fixed point stands for every member and
+    # wins at the first index of the family.
     x = np.array([0.5, -0.25])
     fixed = np.array([2.0, 1.0])
-    got = _chunk_best(lambda lo, hi: np.empty((0, 2)), 5, 9, x, fixed)
-    assert got.index == 5
+    got = furthest_candidate(moved_evaluator(np.empty((0, 2))), 4, x,
+                             fixed=fixed, moved=0)
+    assert got.index == 0
     np.testing.assert_array_equal(got.point, fixed)
     assert got.dist2 == float(np.sum((fixed - x) ** 2))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_zero_moved_never_calls_evaluator(workers):
+    calls = []
+    x, fixed = np.zeros(1), np.array([0.0])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        got = furthest_candidate(moved_evaluator(np.zeros((0, 1)), calls),
+                                 TARGET_CHUNK_ROWS * 3, x, fixed=fixed,
+                                 pool=pool, workers=workers, moved=0)
+    assert calls == []
+    assert (got.index, got.dist2) == (0, 0.0)
+    np.testing.assert_array_equal(got.point, fixed)
+
+
+@pytest.mark.parametrize("moved", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_no_evaluator_call_reaches_moved(monkeypatch, moved, workers):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+    points = np.random.default_rng(47).uniform(-1, 1, size=(moved, 1))
+    calls = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        furthest_candidate(moved_evaluator(points, calls), 1000, np.zeros(1),
+                           fixed=np.zeros(1), pool=pool, workers=workers,
+                           moved=moved)
+    assert max(hi for _, hi in calls) == moved
+    assert sorted(calls)[0][0] == 0
+    # Every member of the prefix is evaluated exactly once.
+    assert sum(hi - lo for lo, hi in calls) == moved
+    assert all(0 < hi - lo <= 64 for lo, hi in calls)
+
+
 @pytest.mark.parametrize(
     "tail, expected_index",
-    [(0.25, 11), (-3.0, 13), (-2.0, 11)],
+    [(0.25, 1), (-3.0, 3), (-2.0, 1)],
     ids=["tail_loses", "tail_wins", "tie_keeps_head"],
 )
 def test_partial_head_matches_full_chunk(tail, expected_index):
-    # x = 0 and the head's furthest row is 2.0 at index 11, so a tail of
-    # -2.0 ties and must lose to the earlier head row.
-    lo, hi = 10, 20
+    # x = 0 and the prefix's furthest row is 2.0 at index 1, so a tail of
+    # -2.0 ties and must lose to the earlier row.
+    count = 10
     head = np.array([[1.0], [2.0], [-1.5]])
     x, fixed = np.zeros(1), np.array([tail])
-    got = _chunk_best(lambda a, b: head.copy(), lo, hi, x, fixed)
-    full = full_chunk(head, hi - lo, fixed)
+    got = furthest_candidate(moved_evaluator(head), count, x, fixed=fixed, moved=3)
+    full = full_chunk(head, count, fixed)
     expected_i, expected_v = select_furthest(x, list(full))
-    assert got.index == lo + expected_i == expected_index
+    assert got.index == expected_i == expected_index
     np.testing.assert_array_equal(got.point, expected_v)
-    whole = _chunk_best(lambda a, b: full.copy(), lo, hi, x)
+    whole = furthest_candidate(moved_evaluator(full), count, x)
     assert (got.index, got.dist2) == (whole.index, whole.dist2)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_tail_loses_ties_and_wins_strictly_greater(d):
+    rng = np.random.default_rng(53 + d)
+    x = rng.uniform(-1, 1, d)
+    head = x + rng.uniform(-1, 1, size=(5, d))
+    far = 2
+    head[far] = x + np.full(d, 3.0)
+    # A tail equal to the furthest row ties it and loses to the earlier row.
+    for fixed, expected in ((head[far].copy(), far), (x + np.full(d, 3.5), 5)):
+        got = furthest_candidate(moved_evaluator(head), 9, x, fixed=fixed, moved=5)
+        assert got.index == expected
+        np.testing.assert_array_equal(got.point, head[far] if expected == far else fixed)
 
 
 @pytest.mark.parametrize("k", [0, 1, 17, 40])
 def test_short_chunk_bitwise_equal_to_full_chunk_d3(k):
     rng = np.random.default_rng(41 + k)
-    lo, hi = 100, 140
+    count = 40
     x = rng.uniform(-1, 1, 3)
     for scale in (0.1, 10.0):  # tail loses, tail wins
         head = rng.uniform(-1, 1, size=(k, 3))
         fixed = x + scale * rng.uniform(-1, 1, 3)
-        full = full_chunk(head, hi - lo, fixed)
-        short = _chunk_best(lambda a, b: head.copy(), lo, hi, x, fixed)
-        whole = _chunk_best(lambda a, b: full.copy(), lo, hi, x)
+        full = full_chunk(head, count, fixed)
+        short = furthest_candidate(moved_evaluator(head), count, x, fixed=fixed,
+                                   moved=k)
+        whole = furthest_candidate(moved_evaluator(full), count, x)
         assert short.index == whole.index
         assert short.dist2 == whole.dist2
         np.testing.assert_array_equal(short.point, whole.point)
 
 
 def test_short_chunks_identical_across_worker_counts(monkeypatch):
-    # 3 chunks serially, 8 with 8 workers: the short chunks move with the
-    # layout, the selected member must not.
+    # One share serially, 2 or 8 with a pool, each walked in 400-row
+    # blocks: the layout moves with the worker count, the selected member
+    # must not.
     monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 400)
     rng = np.random.default_rng(43)
-    count = 1000
-    points = rng.uniform(-2, 2, size=(count, 2))
-    moving = rng.uniform(size=count) < 0.3
-    moving[600:] = False
+    count, moved = 3000, 1700
+    points = rng.uniform(-2, 2, size=(moved, 2))
     x, fixed = np.array([0.1, -0.2]), np.array([1.9, 0.4])
-    evaluate = short_evaluator(points, moving, fixed)
-    full = np.where(moving[:, None], points, fixed)
-    expected_i, expected_v = select_furthest(x, list(full))
-    baseline = furthest_candidate(evaluate, count, x, fixed=fixed)
+    evaluate = moved_evaluator(points)
+    expected_i, expected_v = select_furthest(x, list(full_chunk(points, count, fixed)))
+    baseline = furthest_candidate(evaluate, count, x, fixed=fixed, moved=moved)
     assert baseline.index == expected_i
     np.testing.assert_array_equal(baseline.point, expected_v)
     for workers in (2, 8):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             result = furthest_candidate(
-                evaluate, count, x, fixed=fixed, pool=pool, workers=workers
+                evaluate, count, x, fixed=fixed, pool=pool, workers=workers,
+                moved=moved,
             )
         assert (result.index, result.dist2) == (baseline.index, baseline.dist2)
         np.testing.assert_array_equal(result.point, baseline.point)
 
 
 @pytest.mark.parametrize(
-    "rows, d, fixed",
-    [(3, 1, None), (6, 1, np.zeros(1)), (3, 2, np.zeros(1)), (3, 1, np.zeros(2))],
-    ids=["short_without_fixed", "too_many_rows", "wrong_d", "fixed_wrong_d"],
+    "rows, d, fixed, moved",
+    [(3, 1, None, 3), (6, 1, np.zeros(1), 5), (3, 2, np.zeros(1), 3),
+     (3, 1, np.zeros(2), 3), (2, 1, np.zeros(1), 3), (3, 1, np.zeros(1), 6),
+     (3, 1, np.zeros(1), -1)],
+    ids=["short_without_fixed", "too_many_rows", "wrong_d", "fixed_wrong_d",
+         "too_few_rows", "moved_past_count", "negative_moved"],
 )
-def test_malformed_chunk_rejected(rows, d, fixed):
+def test_malformed_chunk_rejected(rows, d, fixed, moved):
     with pytest.raises(ValueError):
         furthest_candidate(
-            lambda lo, hi: np.zeros((rows, d)), 5, np.zeros(1), fixed=fixed
+            lambda lo, hi: np.zeros((rows, d)), 5, np.zeros(1), fixed=fixed,
+            moved=moved,
         )
 
 
@@ -242,3 +312,23 @@ def test_non_finite_candidate_raises_on_pooled_chunks(monkeypatch):
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(ValueError, match="member 321 "):
             furthest_candidate(evaluate, 500, np.ones(1), pool=pool, workers=2)
+
+
+def test_no_share_outlives_a_failing_first_share(monkeypatch):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+    points = np.zeros((500, 1))
+    points[3, 0] = np.nan
+    done = []
+
+    def evaluate(lo, hi):
+        if lo >= 250:
+            time.sleep(0.01)
+            done.append(lo)
+        return points[lo:hi].copy()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(ValueError, match="member 3 "):
+            furthest_candidate(evaluate, 500, np.ones(1), pool=pool, workers=2)
+        # Shares [0, 250) and [250, 500); the second walks four blocks.
+        assert sorted(done) == [250, 314, 378, 442]
+

@@ -85,9 +85,9 @@ class TestBuildSection4:
         rng = np.random.default_rng(61)
         for _ in range(25):
             x = np.array([rng.uniform(-1, 1)])
-            head = family.gep_kernel(0, family.n_geps, 1.0, x)
-            assert len(head) == np.searchsorted(xi, x[0], side="right")
-            block = full_chunk(head, family.n_geps, x)
+            k = family.gep_moved(1.0, x)
+            assert k == np.searchsorted(xi, x[0], side="right")
+            block = full_chunk(family.gep_kernel(0, k, 1.0, x), family.n_geps, x)
             for i in range(0, family.n_geps, 7):
                 f, A = family.geps[i]
                 member = resolvent(f, A, 1.0, x, family.base)
@@ -98,9 +98,9 @@ class TestBuildSection4:
         rng = np.random.default_rng(67)
         for _ in range(25):
             v = np.array([rng.uniform(-1, 1)])
-            head = family.map_kernel(0, family.n_maps, 1, v)
-            assert len(head) == (0 if v[0] < 0.0 else family.n_maps)
-            block = full_chunk(head, family.n_maps, v)
+            k = family.map_moved(1, v)
+            assert k == (0 if v[0] < 0.0 else family.n_maps)
+            block = full_chunk(family.map_kernel(0, k, 1, v), family.n_maps, v)
             for j in range(0, family.n_maps, 11):
                 np.testing.assert_allclose(
                     block[j], family.maps[j](v), atol=0, rtol=0
@@ -108,7 +108,7 @@ class TestBuildSection4:
 
     @pytest.mark.parametrize("where", ["below", "above", "on", "inside"])
     def test_kernel_matches_masked_formula(self, where):
-        # The kernel returns the members before the first fixed one; the
+        # The kernel is called only for members below the moved prefix; the
         # plain form evaluates arctan everywhere and masks the fixed members.
         family, _, _ = build_section4(50, 4)
         xi = Section4Spec(n_geps=50, n_maps=4).thresholds
@@ -116,10 +116,34 @@ class TestBuildSection4:
         point = {"below": -0.99, "above": 0.99, "on": xi[19], "inside": 0.123}[where]
         gap = point - xi[lo:hi]
         expected = np.where(gap < 0.0, point, np.arctan(gap) + xi[lo:hi])
-        got = family.gep_kernel(lo, hi, 1.0, np.array([point]))
-        split = int(np.searchsorted(xi[lo:hi], point, side="right"))
-        assert got.shape == (split, 1)
+        k = family.gep_moved(1.0, np.array([point]))
+        split = min(max(k, lo), hi)
+        got = family.gep_kernel(lo, split, 1.0, np.array([point]))
+        assert got.shape == (split - lo, 1)
         np.testing.assert_array_equal(full_chunk(got, hi - lo, point)[:, 0], expected)
+
+    def test_moved_prefix_counts_the_moving_members(self):
+        # N = 40, M = 50: the reported prefix is exactly the set of lazy
+        # member objects that move the point.
+        family, _, _ = build_section4(40, 50)
+        xi = Section4Spec(n_geps=40, n_maps=50).thresholds
+        # Points between thresholds (a member with xi just below the point
+        # moves it by about (point - xi)^3 / 3), plus both ends of the box.
+        points = [-1.0, 1.0, *((xi[:-1] + xi[1:]) / 2)[::6]]
+        for point in points:
+            x = np.array([point])
+            moves = [
+                not np.array_equal(resolvent(f, A, 1.0, x, family.base), x)
+                for f, A in family.geps
+            ]
+            k = family.gep_moved(1.0, x)
+            assert k == sum(moves)
+            assert moves == [True] * k + [False] * (family.n_geps - k)
+        for point in (-0.7, -1e-9, 1e-9, 0.4, 1.0):
+            v = np.array([point])
+            moves = [not np.array_equal(s(v), v) for s in family.maps]
+            assert family.map_moved(1, v) == sum(moves) == (
+                0 if point < 0 else family.n_maps)
 
     def test_kernel_requires_unit_step(self):
         family, _, _ = build_section4(4, 4)

@@ -23,6 +23,7 @@ from hybridproj.operators import (
     zero_operator,
 )
 from hybridproj.problems import (
+    Section4Spec,
     build_section4,
     preset,
     section4_bifunction,
@@ -180,6 +181,34 @@ class TestIterate:
             assert np.array_equal(a.x_new, b.x_new)
             assert a.res_y == b.res_y and a.res_z == b.res_z
             assert a.i_far == b.i_far and a.j_far == b.j_far
+
+    def test_small_blocks_identical_across_worker_counts(self, monkeypatch):
+        # 64-row blocks: the moved prefixes span several blocks and split
+        # into pooled shares, for closed-form kernels and member objects.
+        monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+        spec = Section4Spec(n_geps=150, n_maps=200)
+        kernels, sched, _ = build_section4(150, 200)
+        members, cor5, cor5_sched = preset(
+            "cor5", base=kernels.base,
+            bifunctions=[section4_bifunction(float(t)) for t in spec.thresholds],
+            maps=[section4_map(float(c)) for c in spec.coefficients],
+        )
+        fields = ("x_prev", "x_new", "y_far", "z_far", "i_far", "j_far",
+                  "eps", "res_y", "res_z", "res_s")
+        for family, schedule, cfg, iters in (
+            (kernels, sched, SolverConfig(), 60),
+            (members, cor5_sched, cor5, 12),
+        ):
+            runs = {}
+            for w in (1, 2, 8):
+                runs[w] = solve(family, schedule, replace(
+                    cfg, max_iter=iters, workers=w, record_history=True), [0.9])
+            for w in (2, 8):
+                assert runs[w].final_x.tobytes() == runs[1].final_x.tobytes()
+                for a, b in zip(runs[1].history, runs[w].history, strict=True):
+                    for name in fields:
+                        assert (np.asarray(getattr(a, name)).tobytes()
+                                == np.asarray(getattr(b, name)).tobytes()), name
 
     def test_asymptotic_power_grows_with_iteration(self):
         halving = PseudoContraction(

@@ -5,12 +5,14 @@ while a solve runs, so the program must keep them and keep calling them
 through those globals. Phase attribution also relies on the call order
 within an iteration: each chunk-evaluator factory runs before the
 ``furthest_candidate`` call that uses it, and the mapping residual pass
-comes after the projection.
+comes after the projection. The moved-prefix reporters are family fields,
+not hooks, so they add no calls to this order. ``perfbench/workloads.py``
+also imports ``hybridproj.parallel.TARGET_CHUNK_ROWS``.
 """
 
 import pytest
 
-from hybridproj import cli, problems, solver
+from hybridproj import cli, parallel, problems, solver
 from hybridproj.geometry import Box
 from hybridproj.problems import build_section4, section4_bifunction, section4_map
 
@@ -84,3 +86,8 @@ def test_every_hook_is_called(calls):
 
     missing = [hook_name(*hook) for hook in HOOKS if hook_name(*hook) not in calls]
     assert missing == []
+
+
+def test_block_size_is_importable():
+    assert isinstance(parallel.TARGET_CHUNK_ROWS, int)
+    assert parallel.TARGET_CHUNK_ROWS > 0
