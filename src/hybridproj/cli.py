@@ -500,7 +500,8 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
 
     output = {
         "schedule_violations": schedule_issues,
-        "members_checked": len(report.entries),
+        "members_checked": report.members_checked,
+        "members_total": report.members_total,
         "member_failures": failures,
         "solution_fixed_point_max_gap": solution_gap,
         "passed": not schedule_issues and report.ok and solution_gap <= 1e-10,

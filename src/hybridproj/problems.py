@@ -163,10 +163,19 @@ class Section4Spec:
         t += -1.0
         return t
 
-    @cached_property
+    @property
     def coefficients(self) -> np.ndarray:
-        # 2 - j / (M + 1), built in place like the thresholds.
-        c = np.arange(1, self.n_maps + 1, dtype=np.float64)
+        """All ``M`` coefficients; the family itself never builds them."""
+        return self.coefficient_block(0, self.n_maps)
+
+    def coefficient_block(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients ``2 - j / (M + 1)`` of members ``lo..hi-1``.
+
+        Built in place like the thresholds. An entry depends on its index
+        alone, so every block split gives the same bits. The map kernel
+        builds them per block rather than keep 24 MB alive at M = 3e6.
+        """
+        c = np.arange(lo + 1, hi + 1, dtype=np.float64)
         c /= self.n_maps + 1
         np.subtract(2.0, c, out=c)
         return c
@@ -184,7 +193,6 @@ class Section4Spec:
 
 def _section4_kernels(spec: Section4Spec):
     thresholds = spec.thresholds
-    coefficients = spec.coefficients
 
     def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
         if r != 1.0:
@@ -203,7 +211,8 @@ def _section4_kernels(spec: Section4Spec):
     def map_kernel(lo: int, hi: int, power: int, v: np.ndarray) -> np.ndarray:
         # Members are plain pseudocontractions: effective power is one.
         point = float(v[0])
-        s = coefficients[lo:hi] * (-point * point)
+        s = spec.coefficient_block(lo, hi)
+        s *= -point * point
         s += point
         return s.reshape(-1, 1)
 
@@ -225,7 +234,6 @@ def build_section4(n_geps: int, n_maps: int):
     """
     spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
     thresholds = spec.thresholds
-    coefficients = spec.coefficients
     base = Box(lo=[-1.0], hi=[1.0])
     gep_kernel, gep_moved, map_kernel, map_moved = _section4_kernels(spec)
 
@@ -233,7 +241,7 @@ def build_section4(n_geps: int, n_maps: int):
         return (section4_bifunction(float(thresholds[i])), zero_operator())
 
     def map_member(j: int):
-        return section4_map(float(coefficients[j]))
+        return section4_map(float(spec.coefficient_block(j, j + 1)[0]))
 
     family = ProblemFamily(
         base=base,

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hybridproj import problems
 from hybridproj.geometry import Box
 from hybridproj.operators import (
+    AUDIT_MEMBERS_PER_KIND,
     MAX_STEPS,
     CustomBifunction,
     InvalidModelError,
@@ -16,7 +18,6 @@ from hybridproj.operators import (
     affine_operator,
     apply_power,
     identity_map,
-    lipschitz_bound,
     resolvent,
     resolvent_scalar,
     verify_family,
@@ -306,23 +307,6 @@ class TestApplyPower:
             apply_power(identity_map(), -1, [0.0])
 
 
-class TestLipschitzBound:
-    def test_unit_sequence_collapses(self):
-        assert lipschitz_bound(0.3, [1.0, 1.0]) == pytest.approx(1.0)
-
-    def test_sqrt_two(self):
-        assert lipschitz_bound(0.0, [2.0]) == pytest.approx(math.sqrt(2.0))
-
-    def test_kappa_half_units(self):
-        assert lipschitz_bound(0.5, [1.0, 1.0, 1.0]) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lipschitz_bound(1.0, [1.0])
-        with pytest.raises(ValueError):
-            lipschitz_bound(0.5, [0.9])
-
-
 class TestVerifyFamily:
     def test_identity_passes(self):
         family = ProblemFamily.from_members(
@@ -358,6 +342,42 @@ class TestVerifyFamily:
         failing = [e for e in report.entries if e.kind == "map"]
         assert not failing[0].passed
         assert failing[0].worst_slack < 0
+
+    @pytest.mark.parametrize("n", [AUDIT_MEMBERS_PER_KIND, AUDIT_MEMBERS_PER_KIND + 1,
+                                   100_000])
+    def test_audit_builds_at_most_the_cap_of_lazy_members(self, monkeypatch, n):
+        calls = {"gep": 0, "map": 0}
+
+        def counted(kind, factory):
+            def build(value):
+                calls[kind] += 1
+                return factory(value)
+            return build
+
+        monkeypatch.setattr(problems, "section4_bifunction",
+                            counted("gep", problems.section4_bifunction))
+        monkeypatch.setattr(problems, "section4_map",
+                            counted("map", problems.section4_map))
+        family, _, _ = build_section4(n, n)
+        report = verify_family(family, samples=3, rng_seed=4)
+        cap = AUDIT_MEMBERS_PER_KIND
+        assert calls == {"gep": cap, "map": cap}
+        assert report.ok, report.failures()
+        assert (report.members_checked, report.members_total) == (2 * cap, 2 * n)
+        for kind in ("operator", "bifunction", "map"):
+            indices = [e.index for e in report.entries if e.kind == kind]
+            assert indices[0] == 0 and indices[-1] == n - 1
+            steps = np.diff(indices)
+            assert steps.min() >= 1 and steps.max() - steps.min() <= 1
+
+    def test_small_family_is_audited_in_full(self):
+        family = ProblemFamily.from_members(
+            BASE, [(ZeroBifunction(), zero_operator())] * 3, [identity_map()] * 5
+        )
+        report = verify_family(family, samples=10, rng_seed=5)
+        assert [e.index for e in report.entries if e.kind == "operator"] == [0, 1, 2]
+        assert [e.index for e in report.entries if e.kind == "map"] == list(range(5))
+        assert (report.members_checked, report.members_total) == (8, 8)
 
     def test_overdeclared_modulus_fails(self):
         bad = IsmOperator(map=lambda x: x - 0.5, alpha=2.0)  # true modulus is 1

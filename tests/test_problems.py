@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,29 @@ class TestSection4Spec:
         spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
         assert spec.thresholds.tobytes() == section4_thresholds(n_geps).tobytes()
         assert spec.coefficients.tobytes() == section4_coefficients(n_maps).tobytes()
+
+    @pytest.mark.parametrize("bounds", [
+        # the 32,768-row block edge, odd splits, and the tail of M = 3e6
+        (0, 32_767, 32_768, 32_769, 65_536, 98_305, 3_000_000),
+        (0, 1, 4_099, 777_777, 1_500_001, 2_999_999, 3_000_000),
+        (0, 2_967_231, 2_999_998, 3_000_000),
+    ])
+    def test_coefficient_blocks_match_the_closed_formula(self, bounds):
+        spec = Section4Spec(n_geps=1, n_maps=3_000_000)
+        blocks = [spec.coefficient_block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        got = np.concatenate(blocks)
+        assert got.tobytes() == section4_coefficients(3_000_000).tobytes()
+
+    def test_building_the_family_allocates_no_member_array(self):
+        # 24 MB of coefficients at M = 3e6 if they were stored.
+        tracemalloc.start()
+        try:
+            family, _, _ = build_section4(1, 3_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert family.n_maps == 3_000_000
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n_geps", [1, 2, 3, 1000, 2_000_000])
     def test_thresholds_ascend_strictly(self, n_geps):
@@ -105,6 +129,27 @@ class TestBuildSection4:
                 np.testing.assert_allclose(
                     block[j], family.maps[j](v), atol=0, rtol=0
                 )
+
+    def test_lazy_map_members_carry_the_closed_formula_coefficients(self):
+        m = 3_000_000
+        family, _, _ = build_section4(1, m)
+        c = section4_coefficients(m)
+        edges = [0, 1, 32_767, 32_768, 32_769, 1_500_000, m - 2, m - 1]
+        one = np.array([1.0])
+        for j in [*edges, *range(997, m, 997)]:
+            # S_j(1) = 1 - c_j exactly (Sterbenz), so 1 - S_j(1) is c_j.
+            assert 1.0 - family.maps[j](one)[0] == c[j], j
+
+    def test_map_kernel_blocks_match_the_closed_formula(self):
+        m = 100_003
+        family, _, _ = build_section4(1, m)
+        c = section4_coefficients(m)
+        point = 0.6180339887
+        expected = point - c * (point * point)
+        for lo, hi in [(0, 32_768), (32_768, 65_537), (65_537, m), (4_099, 4_100)]:
+            got = family.map_kernel(lo, hi, 1, np.array([point]))
+            assert got.shape == (hi - lo, 1)
+            assert got[:, 0].tobytes() == expected[lo:hi].tobytes()
 
     @pytest.mark.parametrize("where", ["below", "above", "on", "inside"])
     def test_kernel_matches_masked_formula(self, where):

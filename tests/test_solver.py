@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hybridproj.geometry import (
+    Ball,
     Box,
     Halfspace,
     InfeasibleSetError,
@@ -13,6 +14,7 @@ from hybridproj.geometry import (
     contains,
 )
 from hybridproj.operators import (
+    CustomBifunction,
     ProblemFamily,
     PseudoContraction,
     ZeroBifunction,
@@ -312,6 +314,57 @@ class TestStructuredFailures:
         assert err.value.iteration == 5
         assert err.value.cuts == 2
         assert 5 <= err.value.sweeps < SolverConfig().projection_max_sweeps
+
+
+# Each family below has a single common solution, yet project_nested's
+# cycle heuristic declares the accumulated cuts empty partway through.
+FALSE_INFEASIBILITY = pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleSetError,
+    reason="ROADMAP item 2: the Dykstra cycle heuristic in project_nested raises "
+           "a false InfeasibleSetError in R^2",
+)
+
+
+class TestKnownFalseInfeasibility:
+    """Known answers in R^2. With an exact projection (SLSQP) in place of
+    Dykstra, cor1 reached tol 1e-6 at iteration 44 and cor4 tol 1e-2 at 194."""
+
+    @FALSE_INFEASIBILITY
+    def test_cor1_on_a_box_reaches_the_origin(self):
+        # At present the solve stops at iteration 18.
+        family, cfg, sched = preset(
+            "cor1", base=Box([-1.0, -1.0], [1.0, 1.0]),
+            bifunctions=[CustomBifunction(lambda r, w, s=s: w / (1 + r * s))
+                         for s in (0.5, 1.0, 2.0)] + [ZeroBifunction()],
+            operators=[affine_operator(1.0, [0.0, 0.0]),
+                       affine_operator(2.0, [0.0, 0.0])],
+            maps=[PseudoContraction(lambda x: 0.5 * x, kappa=0.0)],
+        )
+        origin = np.zeros(2)
+        cfg = replace(cfg, stop=ToleranceToReference(reference=origin, tol=1e-6),
+                      max_iter=1000)
+        report = solve(family, sched, cfg, [0.9, -0.7])
+        assert report.stop_reason == "tol_to_reference"
+        assert np.linalg.norm(report.final_x - origin) <= 1e-6
+
+    @FALSE_INFEASIBILITY
+    def test_cor4_with_a_rotation_reaches_its_centre(self):
+        # At present the solve stops at iteration 32.
+        p = np.array([0.3, 0.2])
+        t = 0.7
+        rotation = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        family, cfg, sched = preset(
+            "cor4", base=Ball([0.0, 0.0], 1.0), bifunctions=[ZeroBifunction()] * 2,
+            operators=[affine_operator(1.0, p), affine_operator(2.0, p)],
+            maps=[PseudoContraction(map=lambda v: p + rotation @ (v - p), kappa=0.0,
+                                    k_seq=lambda n: 1 + 1 / (n + 1) ** 2)],
+        )
+        cfg = replace(cfg, stop=ToleranceToReference(reference=p, tol=1e-2),
+                      max_iter=1000)
+        report = solve(family, sched, cfg, [0.6, -0.5])
+        assert report.stop_reason == "tol_to_reference"
+        assert np.linalg.norm(report.final_x - p) <= 1e-2
 
 
 class TestSolve:
