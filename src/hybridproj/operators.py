@@ -258,8 +258,10 @@ class ProblemFamily:
         """Family over explicit member objects.
 
         The kernels evaluate the members one by one: :func:`resolvent` per
-        pair, and :func:`apply_power` per mapping, at the nominal power for
-        asymptotic mappings and at power one for plain ones.
+        pair, :func:`apply_power` at the nominal power per asymptotic
+        mapping, and one call per plain mapping. Every member gets its own
+        copy of the evaluation point, so a member that writes to its
+        argument reaches neither the caller nor the next member.
         """
         geps = tuple(geps)
         maps = tuple(maps)
@@ -273,7 +275,8 @@ class ProblemFamily:
             k_seq = lambda n: 1.0  # noqa: E731
 
         # The checks and the conversion of the evaluation point run once per
-        # chunk; the loops call the cores behind resolvent and apply_power.
+        # chunk; the loops call the cores behind resolvent and apply_power,
+        # and call a plain map once, without the power loop.
         def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
             tol = DEFAULT_RESOLVENT_TOL
             _check_step(r, tol)
@@ -291,7 +294,10 @@ class ProblemFamily:
             pv = as_vector(point)
             rows = np.empty((hi - lo, pv.size))
             for j, s in enumerate(maps[lo:hi]):
-                rows[j] = _power(s, nominal_power if s.asymptotic else 1, pv)
+                if s.asymptotic:
+                    rows[j] = _power(s, nominal_power, pv)
+                else:
+                    rows[j] = s(pv.copy())
             return rows
 
         return cls(
@@ -313,11 +319,12 @@ def _resolve(
     f: Bifunction, A: IsmOperator, r: float, xv: np.ndarray, base: BaseSet, tol: float
 ) -> np.ndarray:
     # The forward step of a zero operator is a copy: for finite xv and r,
-    # xv - r * 0 has the same bits as xv. The copy is fresh, so a resolve
-    # that writes to its input cannot reach the caller or the next member.
+    # xv - r * 0 has the same bits as xv. The operator and the bifunction
+    # each see a fresh array, so a member that writes to its input cannot
+    # reach the caller or the next member.
     if A.map is np.zeros_like and r < math.inf:
         return f.resolve(r, xv.copy(), base, tol)
-    return f.resolve(r, xv - r * A(xv), base, tol)
+    return f.resolve(r, xv - r * A(xv.copy()), base, tol)
 
 
 def resolvent(
@@ -475,13 +482,20 @@ def _check_power(n: int) -> None:
 
 
 def _power(S: PseudoContraction, n: int, point: np.ndarray) -> np.ndarray:
+    # The first application gets a copy: a map that writes to its argument
+    # must not reach the caller's point.
+    point = point.copy()
     for _ in range(n):
         point = S(point)
     return point
 
 
 def apply_power(S: PseudoContraction, n: int, x) -> np.ndarray:
-    """Apply a mapping ``n`` times; ``n = 0`` is the identity."""
+    """Apply a mapping ``n`` times; ``n = 0`` is the identity.
+
+    The result is never ``x`` itself, and ``x`` is left as it was even when
+    the map writes to its argument.
+    """
     _check_power(n)
     return _power(S, int(n), as_vector(x))
 

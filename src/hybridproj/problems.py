@@ -135,8 +135,13 @@ def section4_map(c: float) -> PseudoContraction:
         raise ValueError("quadratic-drop coefficient must lie in (1, 2)")
 
     def mapping(v: np.ndarray) -> np.ndarray:
-        # grouped as c * (v * v) to agree bitwise with the chunk kernel
-        return np.where(v < 0.0, v, v - c * (v * v))
+        # Float arithmetic, like the bifunction's profile: numpy calls on a
+        # 1-element array cost about seven times as much. Grouped as
+        # c * (x * x) to agree bitwise with the chunk kernel.
+        if len(v) != 1:
+            raise ValueError("section4 map requires a 1-D problem")
+        x = float(v[0])
+        return np.array([x if x < 0.0 else x - c * (x * x)])
 
     return PseudoContraction(map=mapping, kappa=1.0 - 1.0 / c)
 

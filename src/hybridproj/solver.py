@@ -355,7 +355,9 @@ def solve(
     projection of the anchor onto the common solution set. Exhausting
     ``max_iter`` is a normal outcome reported as reason ``"budget"``.
     """
-    start_v = as_vector(x0)
+    # The run keeps its own copy of the anchor: the caller's array is never
+    # a member's argument, an iterate or a history entry.
+    start_v = as_vector(x0).copy()
     if start_v.size != problem.base.dim:
         raise ValueError(
             f"anchor x0 has dimension {start_v.size}; "

@@ -7,9 +7,11 @@ projection exactly by checking every active set of size at most two. The
 selection oracle is the serial reference for the chunked parallel
 reduction, and ``full_chunk`` expands a kernel's short chunk into the rows
 it stands for. ``section4_thresholds`` and ``section4_coefficients`` are
-the benchmark's member constants as plain closed formulas. ``bisect_resolvent`` is plain bisection, the agreement
-oracle for the scalar resolvent's root finder, and ``counting`` counts the
-profile calls either one makes.
+the benchmark's member constants as plain closed formulas, and
+``section4_map_where`` is its mapping as one masked numpy expression.
+``bisect_resolvent`` is plain bisection, the agreement oracle for the
+scalar resolvent's root finder, and ``counting`` counts the profile calls
+either one makes.
 """
 
 from __future__ import annotations
@@ -187,6 +189,13 @@ def section4_thresholds(n_geps: int) -> np.ndarray:
 def section4_coefficients(n_maps: int) -> np.ndarray:
     """Benchmark coefficients ``2 - j / (M + 1)``, ``j = 1..M``, likewise."""
     return 2.0 - np.arange(1, n_maps + 1, dtype=np.float64) / (n_maps + 1)
+
+
+def section4_map_where(c: float, v) -> np.ndarray:
+    """The benchmark mapping ``x -> x - c * x^2``, identity below 0, on every
+    entry of ``v`` at once, grouped as ``c * (v * v)``."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.where(v < 0.0, v, v - c * (v * v))
 
 
 def reference_trajectory(n_geps: int, n_maps: int, iters: int, x0: float = 1.0):

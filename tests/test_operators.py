@@ -277,6 +277,11 @@ class TestResolventFailure:
         assert g_a < 0.0 < g_b
 
 
+def _halve_in_place(v):
+    v *= 0.5
+    return v
+
+
 class TestApplyPower:
     def test_zero_power_is_identity(self):
         s = section4_map(1.5)
@@ -305,6 +310,14 @@ class TestApplyPower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             apply_power(identity_map(), -1, [0.0])
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_callers_point_is_left_alone(self, n):
+        x = np.array([0.8])
+        y = apply_power(PseudoContraction(map=_halve_in_place, kappa=0.0), n, x)
+        np.testing.assert_array_equal(x, [0.8])
+        assert not np.shares_memory(y, x)
+        np.testing.assert_array_equal(y, [0.8 * 0.5**n])
 
 
 class TestVerifyFamily:
@@ -504,6 +517,58 @@ class TestProblemFamily:
                 np.testing.assert_array_equal(block[j - lo], apply_power(s, power, x))
         # plain members run at power one, not at the nominal power
         assert family.map_kernel(2, 3, 3, np.array([0.5]))[0, 0] == 0.5 - 1.25 * 0.25
+
+    def test_member_map_call_counts(self):
+        # A plain map is called once per evaluation, whatever the nominal
+        # power; an asymptotic map once per power step.
+        calls = {"plain": 0, "asymptotic": 0}
+
+        def halving(kind):
+            def mapping(v):
+                calls[kind] += 1
+                return 0.5 * v
+            return mapping
+
+        plain = PseudoContraction(map=halving("plain"), kappa=0.0)
+        growing = PseudoContraction(map=halving("asymptotic"), kappa=0.0,
+                                    asymptotic=True)
+        family = ProblemFamily.from_members(BASE, [], [plain, growing])
+        for n in (0, 1, 4):
+            calls.update(plain=0, asymptotic=0)
+            rows = family.map_kernel(0, 2, n, np.array([0.8]))
+            assert calls == {"plain": 1, "asymptotic": n}
+            np.testing.assert_array_equal(rows, [[0.4], [0.8 * 0.5**n]])
+
+    def test_member_map_results_become_float_rows(self):
+        maps = [
+            PseudoContraction(map=lambda v: [float(v[0]) / 2], kappa=0.0),
+            PseudoContraction(map=lambda v: np.ones(1, dtype=np.int64), kappa=0.0),
+            PseudoContraction(map=lambda v: [float(v[0]) / 2], kappa=0.0,
+                              asymptotic=True),
+            PseudoContraction(map=lambda v: np.zeros(1, dtype=np.int32), kappa=0.0,
+                              asymptotic=True),
+        ]
+        family = ProblemFamily.from_members(BASE, [], maps)
+        x = np.array([0.6])
+        rows = family.map_kernel(0, len(maps), 2, x)
+        assert rows.dtype == np.float64
+        expected = [apply_power(s, 2 if s.asymptotic else 1, x) for s in maps]
+        assert rows.tobytes() == np.vstack(expected).tobytes()
+        np.testing.assert_array_equal(rows, [[0.3], [1.0], [0.15], [0.0]])
+
+    def test_members_that_write_to_their_point_reach_no_other(self):
+        plain = PseudoContraction(map=_halve_in_place, kappa=0.0)
+        growing = PseudoContraction(map=_halve_in_place, kappa=0.0, asymptotic=True)
+        A = IsmOperator(map=_halve_in_place, alpha=2.0)
+        family = ProblemFamily.from_members(
+            BASE, [(ZeroBifunction(), A)] * 2, [plain, growing] * 2
+        )
+        x = np.array([0.8])
+        rows = family.map_kernel(0, 4, 2, x)
+        np.testing.assert_array_equal(rows[:, 0], [0.4, 0.2, 0.4, 0.2])
+        rows = family.gep_kernel(0, 2, 1.0, x)
+        np.testing.assert_array_equal(rows[:, 0], [0.4, 0.4])
+        np.testing.assert_array_equal(x, [0.8])
 
     def test_member_kernels_keep_checks(self):
         family = ProblemFamily.from_members(

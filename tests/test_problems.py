@@ -7,6 +7,7 @@ import pytest
 
 from hybridproj.geometry import Box, CustomSet
 from hybridproj.operators import (
+    ProblemFamily,
     PseudoContraction,
     ZeroBifunction,
     affine_operator,
@@ -26,7 +27,12 @@ from hybridproj.problems import (
     section4_map,
 )
 from hybridproj.solver import solve
-from oracles import full_chunk, section4_coefficients, section4_thresholds
+from oracles import (
+    full_chunk,
+    section4_coefficients,
+    section4_map_where,
+    section4_thresholds,
+)
 
 
 class TestSection4Spec:
@@ -228,6 +234,46 @@ class TestBuildSection4:
                 worst = min(worst, float((ax - ay) @ (x - y)) / gap2)
         assert worst >= 1.0 / (2 * c) - 1e-9
         assert worst < c / 4.0  # the larger declaration is falsified
+
+
+class TestSection4Map:
+    """The member mapping: float arithmetic with the bits of the masked
+    numpy formula and of the chunk kernel."""
+
+    # Signed zeros, the box ends, a small power of two, and subnormals,
+    # whose squares underflow to zero.
+    SPECIALS = [0.0, -0.0, 1.0, -1.0, 2.0**-30, -(2.0**-30),
+                5e-324, -5e-324, 1e-310, -1e-310]
+
+    def test_matches_the_masked_formula_bit_for_bit(self):
+        rng = np.random.default_rng(79)
+        grid = np.concatenate([self.SPECIALS, rng.uniform(-1.0, 1.0, 2000)])
+        coefficients = np.concatenate(
+            [section4_coefficients(7), rng.uniform(1.0, 2.0, 8), [1.0 + 2.0**-52]]
+        )
+        for c in coefficients:
+            s = section4_map(float(c))
+            got = np.array([s(np.array([x]))[0] for x in grid])
+            assert got.tobytes() == section4_map_where(float(c), grid).tobytes(), c
+
+    @pytest.mark.parametrize(
+        "point", [1.0, 0.87, 0.3, 2.0**-30, 5e-324, 0.0, -0.0, -1e-9, -0.6, -1.0]
+    )
+    def test_member_rows_match_the_kernel_rows(self, point):
+        kernels, _, _ = build_section4(500, 750)
+        maps = [section4_map(float(c)) for c in Section4Spec(500, 750).coefficients]
+        members = ProblemFamily.from_members(kernels.base, [], maps)
+        v = np.array([point])
+        # The kernel is called for the moved prefix alone; every member past
+        # it fixes the point.
+        k = kernels.map_moved(1, v)
+        expected = full_chunk(kernels.map_kernel(0, k, 1, v), kernels.n_maps, v)
+        got = members.map_kernel(0, members.n_maps, 1, v)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_two_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            section4_map(1.5)(np.array([0.5, 0.5]))
 
 
 class TestKnownSolutionSet:

@@ -15,6 +15,7 @@ from hybridproj.geometry import (
 )
 from hybridproj.operators import (
     CustomBifunction,
+    IsmOperator,
     ProblemFamily,
     PseudoContraction,
     ZeroBifunction,
@@ -27,6 +28,7 @@ from hybridproj.operators import (
 from hybridproj.problems import (
     Section4Spec,
     build_section4,
+    default_schedule,
     preset,
     section4_bifunction,
     section4_map,
@@ -455,6 +457,69 @@ class TestSolve:
         bad = replace(sched, beta_fn=lambda n: family.kappa / 2)
         with pytest.raises(ValueError, match="inadmissible schedule"):
             solve(family, bad, SolverConfig(max_iter=5), [1.0])
+
+
+def _halve_in_place(v):
+    v *= 0.5
+    return v
+
+
+def _raise_in_place(v):
+    v += 0.25
+    return v
+
+
+def _shrink_in_place(r, w):
+    w /= 1.0 + r
+    return w
+
+
+def writing_member_family(kind: str, writes: bool) -> ProblemFamily:
+    """A family with a member that writes to its argument, or its pure twin.
+
+    The twin computes the same arithmetic into a new array. Every family
+    has a common solution: 0 for the map and bifunction kinds, -0.25 for
+    the operator kind.
+    """
+    gep = (section4_bifunction(0.3), zero_operator())
+    if kind == "map":
+        halve = _halve_in_place if writes else (lambda v: 0.5 * v)
+        return ProblemFamily.from_members(
+            BASE, [gep], [PseudoContraction(map=halve, kappa=0.0), section4_map(1.5)]
+        )
+    if kind == "operator":
+        # A(x) = x + 1/4, modulus 1: the variational member solves x = -1/4.
+        shift = _raise_in_place if writes else (lambda v: v + 0.25)
+        A = IsmOperator(map=shift, alpha=1.0)
+        return ProblemFamily.from_members(
+            BASE, [(ZeroBifunction(), A), gep], [section4_map(1.5)]
+        )
+    # The resolvent of f(z, y) = z (y - z), with and without an operator.
+    shrink = _shrink_in_place if writes else (lambda r, w: w / (1.0 + r))
+    f = CustomBifunction(oracle=shrink)
+    return ProblemFamily.from_members(
+        BASE, [(f, affine_operator(1.0, [0.0])), (f, zero_operator())],
+        [section4_map(1.5)],
+    )
+
+
+class TestMembersThatWriteToTheirArgument:
+    @pytest.mark.parametrize("kind", ["map", "operator", "bifunction"])
+    def test_solve_matches_the_pure_twin(self, kind):
+        finals = {}
+        for writes in (True, False):
+            family = writing_member_family(kind, writes)
+            sched = default_schedule(family)
+            for history in (False, True):
+                x0 = np.array([0.9])
+                cfg = SolverConfig(max_iter=30, record_history=history)
+                report = solve(family, sched, cfg, x0)
+                np.testing.assert_array_equal(x0, [0.9])
+                if history:
+                    # The solver iterates from its own copy of the anchor.
+                    assert not np.shares_memory(report.history[0].x_prev, x0)
+                finals[writes, history] = report.final_x.tobytes()
+        assert len(set(finals.values())) == 1, finals
 
 
 class TestResiduals:
