@@ -259,9 +259,15 @@ class ProblemFamily:
 
         The kernels evaluate the members one by one: :func:`resolvent` per
         pair, :func:`apply_power` at the nominal power per asymptotic
-        mapping, and one call per plain mapping. Every member gets its own
-        copy of the evaluation point, so a member that writes to its
-        argument reaches neither the caller nor the next member.
+        mapping, and one call per plain mapping. In one dimension a
+        :class:`ScalarMonotoneBifunction` paired with a zero operator is
+        solved by :func:`resolvent_scalar` on the float coordinate, the
+        call its ``resolve`` makes. Every member gets its own copy of the
+        evaluation point, so a member that writes to its argument reaches
+        neither the caller nor the next member. The results of a block are
+        converted to float64 together, after its last member has run, so a
+        member must not write later to an array it has returned. A result
+        that is not ``d`` values raises ``ValueError``.
         """
         geps = tuple(geps)
         maps = tuple(maps)
@@ -274,17 +280,27 @@ class ProblemFamily:
         else:
             k_seq = lambda n: 1.0  # noqa: E731
 
-        # The checks and the conversion of the evaluation point run once per
-        # chunk; the loops call the cores behind resolvent and apply_power,
-        # and call a plain map once, without the power loop.
+        # The checks, the conversion of the evaluation point and the
+        # conversion of the results run once per chunk; the loops call the
+        # cores behind resolvent and apply_power, and call a plain map once,
+        # without the power loop.
         def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
             tol = DEFAULT_RESOLVENT_TOL
             _check_step(r, tol)
             xv = as_vector(x)
-            rows = np.empty((hi - lo, xv.size))
-            for i, (f, A) in enumerate(geps[lo:hi]):
-                rows[i] = _resolve(f, A, r, xv, base, tol)
-            return rows
+            # A scalar bifunction behind a zero operator gets the call its
+            # resolve makes, on the float coordinate; the exact type test
+            # leaves a subclass that overrides resolve on the general path.
+            scalar = xv.size == 1 and r < math.inf
+            x0 = float(xv[0])
+            rows = []
+            for f, A in geps[lo:hi]:
+                if (scalar and type(f) is ScalarMonotoneBifunction
+                        and A.map is np.zeros_like):
+                    rows.append(resolvent_scalar(f.profile, r, x0, f.lo, f.hi, tol))
+                else:
+                    rows.append(_resolve(f, A, r, xv, base, tol))
+            return _block(rows, xv.size, "equilibrium", lo)
 
         def map_kernel(
             lo: int, hi: int, nominal_power: int, point: np.ndarray
@@ -292,13 +308,11 @@ class ProblemFamily:
             _check_power(nominal_power)
             nominal_power = int(nominal_power)
             pv = as_vector(point)
-            rows = np.empty((hi - lo, pv.size))
-            for j, s in enumerate(maps[lo:hi]):
-                if s.asymptotic:
-                    rows[j] = _power(s, nominal_power, pv)
-                else:
-                    rows[j] = s(pv.copy())
-            return rows
+            rows = [
+                _power(s, nominal_power, pv) if s.asymptotic else s.map(pv.copy())
+                for s in maps[lo:hi]
+            ]
+            return _block(rows, pv.size, "map", lo)
 
         return cls(
             base=base, geps=geps, maps=maps,
@@ -306,6 +320,31 @@ class ProblemFamily:
             gep_kernel=gep_kernel, map_kernel=map_kernel,
             has_asymptotic_maps=bool(asymptotic), **kwargs,
         )
+
+
+def _block(results: list, d: int, kind: str, lo: int) -> np.ndarray:
+    """Member results ``lo..`` as one ``(len(results), d)`` float64 array.
+
+    One conversion serves the whole block. Results of mixed shapes (a
+    float next to a 1-element array) take a conversion per row. A result
+    that does not hold ``d`` values raises ``ValueError`` naming its member;
+    it is never broadcast across the row.
+    """
+    n = len(results)
+    try:
+        block = np.array(results, dtype=np.float64)
+    except ValueError:  # results of unequal shapes
+        block = None
+    if block is not None and block.size == n * d:
+        return block.reshape(n, d)
+    block = np.empty((n, d))
+    for i, value in enumerate(results):
+        row = np.asarray(value, dtype=np.float64)
+        if row.size != d:
+            raise ValueError(f"{kind} member {lo + i} returned {row.size} values "
+                             f"for a point with {d} coordinates")
+        block[i] = row.reshape(d)
+    return block
 
 
 def _check_step(r: float, tol: float) -> None:
@@ -543,7 +582,8 @@ class FamilyReport:
 
 
 def _ism_slack(A: IsmOperator, x: np.ndarray, y: np.ndarray) -> float:
-    ax, ay = A(x), A(y)
+    # Each call gets a copy: the sample points are shared by every member.
+    ax, ay = A(x.copy()), A(y.copy())
     gap2 = float(np.sum((ax - ay) ** 2))
     lhs = float((ax - ay) @ (x - y))
     rhs = 0.0 if gap2 == 0.0 else A.alpha * gap2
@@ -646,8 +686,9 @@ def verify_family(
         worst = min(
             _pseudocontraction_slack(S, p, x, y) for p in powers for x, y in pairs
         )
+        mapped = [S(x.copy()) for x, _ in pairs]
         range_gap = max(
-            float(np.linalg.norm(S(x) - problem.base.project(S(x)))) for x, _ in pairs
+            float(np.linalg.norm(sx - problem.base.project(sx))) for sx in mapped
         )
         in_range = range_gap <= max(slack_tol, 1e-12)
         entries.append(

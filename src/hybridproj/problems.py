@@ -134,14 +134,16 @@ def section4_map(c: float) -> PseudoContraction:
     if not 1.0 < c < 2.0:
         raise ValueError("quadratic-drop coefficient must lie in (1, 2)")
 
-    def mapping(v: np.ndarray) -> np.ndarray:
+    def mapping(v: np.ndarray) -> list[float]:
         # Float arithmetic, like the bifunction's profile: numpy calls on a
         # 1-element array cost about seven times as much. Grouped as
-        # c * (x * x) to agree bitwise with the chunk kernel.
+        # c * (x * x) to agree bitwise with the chunk kernel. A list, not an
+        # array: S(x) converts it, and a member kernel converts a whole
+        # block of results at once.
         if len(v) != 1:
             raise ValueError("section4 map requires a 1-D problem")
         x = float(v[0])
-        return np.array([x if x < 0.0 else x - c * (x * x)])
+        return [x if x < 0.0 else x - c * (x * x)]
 
     return PseudoContraction(map=mapping, kappa=1.0 - 1.0 / c)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridproj import problems
+from hybridproj import operators, problems
 from hybridproj.geometry import Box
 from hybridproj.operators import (
     AUDIT_MEMBERS_PER_KIND,
@@ -14,6 +14,7 @@ from hybridproj.operators import (
     ProblemFamily,
     PseudoContraction,
     ResolventFailure,
+    ScalarMonotoneBifunction,
     ZeroBifunction,
     affine_operator,
     apply_power,
@@ -328,6 +329,27 @@ class TestVerifyFamily:
         report = verify_family(family, samples=200, rng_seed=0)
         assert report.ok
 
+    def test_members_that_write_to_their_samples_reach_no_other(self):
+        # The audit's sample points are shared by every member: an operator
+        # that shifted them in place made the identity map after it fail
+        # ("leaves base set by 8.718e-02").
+        def shift_in_place(v):
+            v -= 0.1
+            return v
+
+        reports = [
+            verify_family(
+                ProblemFamily.from_members(
+                    BASE, [(ZeroBifunction(), IsmOperator(map=shift, alpha=1.0))],
+                    [identity_map()],
+                ),
+                samples=200, rng_seed=0,
+            )
+            for shift in (shift_in_place, lambda v: v - 0.1)
+        ]
+        assert reports[0].ok
+        assert reports[0].entries == reports[1].entries
+
     def test_quadratic_drop_passes_with_declared_constant(self):
         family = ProblemFamily.from_members(BASE, [], [section4_map(1.5)])
         assert family.kappa == pytest.approx(1.0 - 1.0 / 1.5)
@@ -547,14 +569,45 @@ class TestProblemFamily:
                               asymptotic=True),
             PseudoContraction(map=lambda v: np.zeros(1, dtype=np.int32), kappa=0.0,
                               asymptotic=True),
+            PseudoContraction(map=lambda v: (float(v[0]) - 0.5,), kappa=0.0),
+            # 0-d results next to 1-element ones make a block of mixed shapes
+            PseudoContraction(map=lambda v: float(v[0]) / 4, kappa=0.0),
+            PseudoContraction(map=lambda v: np.float64(v[0]) * 3, kappa=0.0),
+            PseudoContraction(map=lambda v: np.array(-1), kappa=0.0),
         ]
-        family = ProblemFamily.from_members(BASE, [], maps)
+        expected_rows = [[0.3], [1.0], [0.15], [0.0], [0.6 - 0.5], [0.15],
+                         [0.6 * 3], [-1.0]]
         x = np.array([0.6])
-        rows = family.map_kernel(0, len(maps), 2, x)
-        assert rows.dtype == np.float64
-        expected = [apply_power(s, 2 if s.asymptotic else 1, x) for s in maps]
-        assert rows.tobytes() == np.vstack(expected).tobytes()
-        np.testing.assert_array_equal(rows, [[0.3], [1.0], [0.15], [0.0]])
+        for count in (5, len(maps)):
+            family = ProblemFamily.from_members(BASE, [], maps[:count])
+            rows = family.map_kernel(0, count, 2, x)
+            assert rows.dtype == np.float64
+            expected = [apply_power(s, 2 if s.asymptotic else 1, x)
+                        for s in maps[:count]]
+            assert rows.tobytes() == np.vstack(expected).tobytes()
+            np.testing.assert_array_equal(rows, expected_rows[:count])
+
+    def test_wrong_size_results_raise(self):
+        # In R^2 a 1-value result was broadcast across the row: at
+        # (0.4, -0.8) the first map below became the candidate [0.2, 0.2].
+        box = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+        x = np.array([0.4, -0.8])
+        short = PseudoContraction(map=lambda v: np.array([0.5 * v[0]]), kappa=0.0)
+        scalar = PseudoContraction(map=lambda v: 0.5 * float(v[0]), kappa=0.0)
+        long = PseudoContraction(map=lambda v: np.append(v, 0.0), kappa=0.0,
+                                 asymptotic=True)
+        for maps, bad in (([short], 0), ([identity_map(), scalar], 1),
+                          ([identity_map(), long], 1), ([short] * 3, 0)):
+            family = ProblemFamily.from_members(box, [], maps)
+            with pytest.raises(ValueError, match=f"map member {bad} returned"):
+                family.map_kernel(0, len(maps), 1, x)
+        oracle = CustomBifunction(oracle=lambda r, w: w[:1] / (1.0 + r))
+        geps = [(ZeroBifunction(), zero_operator()), (oracle, zero_operator())]
+        family = ProblemFamily.from_members(box, geps, [])
+        with pytest.raises(ValueError, match="equilibrium member 1 returned 1 values"):
+            family.gep_kernel(0, 2, 1.0, x)
+        # the members before the bad one still form valid rows
+        np.testing.assert_array_equal(family.gep_kernel(0, 1, 1.0, x), [x])
 
     def test_members_that_write_to_their_point_reach_no_other(self):
         plain = PseudoContraction(map=_halve_in_place, kappa=0.0)
@@ -599,6 +652,74 @@ class TestProblemFamily:
 
     def test_zero_operator_has_infinite_modulus(self):
         assert math.isinf(zero_operator().alpha)
+
+
+def _count_resolve_calls(monkeypatch):
+    """Count the member kernels' calls of the general resolvent path."""
+    calls = []
+    general = operators._resolve
+
+    def counted(f, A, r, xv, base, tol):
+        calls.append(f)
+        return general(f, A, r, xv, base, tol)
+
+    monkeypatch.setattr(operators, "_resolve", counted)
+    return calls
+
+
+class TestScalarResolventPath:
+    """A scalar bifunction behind a zero operator is solved on the float
+    coordinate, with the bits of :func:`resolvent`."""
+
+    def test_rows_match_resolvent_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        thresholds = [float(t) for t in rng.uniform(-0.95, 0.95, 12)]
+        bifunctions = [section4_bifunction(xi) for xi in thresholds] + [
+            ScalarMonotoneBifunction(profile=lambda z: z, lo=-1.0, hi=1.0),
+            ScalarMonotoneBifunction(profile=lambda z: z ** 3, lo=-0.5, hi=0.5),
+        ]
+        geps = [(f, A) for f in bifunctions
+                for A in (zero_operator(), IsmOperator(map=np.zeros_like, alpha=1.0))]
+        family = ProblemFamily.from_members(BASE, geps, [])
+        # a threshold as x is fixed by some members and moved by the others;
+        # -1 and 1 end the section4 brackets, and +-0.5 end the cubic
+        # member's, which clamps x = -1 and x = 1
+        grid = [float(x) for x in rng.uniform(-1.0, 1.0, 20)]
+        grid += thresholds + [-1.0, 1.0, -0.5, 0.5, 0.0, -0.0]
+        calls = _count_resolve_calls(monkeypatch)
+        for x in grid:
+            for r in (0.5, 1.0, 2.5):
+                expected = np.vstack([resolvent(f, A, r, [x], BASE) for f, A in geps])
+                calls.clear()
+                rows = family.gep_kernel(0, len(geps), r, np.array([x]))
+                assert rows.tobytes() == expected.tobytes(), (x, r)
+                assert calls == []
+
+    def test_subclass_that_overrides_resolve_is_called(self):
+        class Shifted(ScalarMonotoneBifunction):
+            def resolve(self, r, w, base, tol):
+                return super().resolve(r, w, base, tol) + 0.25
+
+        f = Shifted(profile=lambda z: 0.0, lo=-1.0, hi=1.0)
+        plain = ScalarMonotoneBifunction(profile=lambda z: 0.0, lo=-1.0, hi=1.0)
+        family = ProblemFamily.from_members(
+            BASE, [(plain, zero_operator()), (f, zero_operator())], []
+        )
+        np.testing.assert_array_equal(
+            family.gep_kernel(0, 2, 1.0, np.array([0.5])), [[0.5], [0.75]]
+        )
+
+    def test_other_operators_take_the_general_path(self, monkeypatch):
+        f = section4_bifunction(-0.2)
+        affine = affine_operator(2.0, [0.1])
+        geps = [(f, zero_operator()), (f, affine), (ZeroBifunction(), zero_operator())]
+        family = ProblemFamily.from_members(BASE, geps, [])
+        x = np.array([0.7])
+        expected = np.vstack([resolvent(g, A, 0.5, x, BASE) for g, A in geps])
+        calls = _count_resolve_calls(monkeypatch)
+        rows = family.gep_kernel(0, 3, 0.5, x)
+        assert rows.tobytes() == expected.tobytes()
+        assert calls == [f, geps[2][0]]
 
 
 class TestCustomBifunction:

@@ -275,6 +275,14 @@ class TestSection4Map:
         with pytest.raises(ValueError, match="1-D"):
             section4_map(1.5)(np.array([0.5, 0.5]))
 
+    def test_map_returns_a_list_and_the_member_an_array(self):
+        s = section4_map(1.5)
+        result = s.map(np.array([0.5]))
+        assert isinstance(result, list) and result == [0.5 - 1.5 * 0.25]
+        y = s(np.array([0.5]))
+        assert isinstance(y, np.ndarray) and y.dtype == np.float64
+        assert y.tolist() == [0.5 - 1.5 * 0.25]
+
 
 class TestKnownSolutionSet:
     def test_benchmark_interval(self):
