@@ -102,7 +102,6 @@ class RunConfig:
 
     problem: dict
     x0: tuple[float, ...]
-    mode: str | None = None
     schedule: dict | None = None
     stop: dict | None = None
     max_iter: int = 1000
@@ -169,7 +168,15 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _read(spec: dict, key: str, convert=float, default=None):
+def _finite(value) -> float:
+    """``float(value)``; NaN and the infinities that JSON admits fail."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
+
+
+def _read(spec: dict, key: str, convert=_finite, default=None):
     """``convert(spec[key])``, or ``default`` when ``key`` is absent.
 
     Without a default the entry is required. A missing entry or a failed
@@ -186,7 +193,7 @@ def _read(spec: dict, key: str, convert=float, default=None):
 
 
 def _positive(value) -> float:
-    if not float(value) > 0:
+    if not _finite(value) > 0:
         raise ValueError(f"must be positive, got {value!r}")
     return float(value)
 
@@ -202,8 +209,8 @@ def _build(builders: dict, spec, key: str, tag: str = "variant"):
 
 
 def _affine_profile(spec: dict):
-    slope = _read(spec, "slope", float, 1.0)
-    shift = _read(spec, "shift", float, 0.0)
+    slope = _read(spec, "slope", default=1.0)
+    shift = _read(spec, "shift", default=0.0)
     if slope < 0:
         raise ConfigError("affine profile must be nondecreasing (slope >= 0)")
     return lambda z: slope * z + shift
@@ -216,7 +223,7 @@ def _constant(spec: dict):
 
 def _inverse_offset(spec: dict):
     offset = _read(spec, "offset", _positive, 2.0)
-    scale = _read(spec, "scale", float, 1.0)
+    scale = _read(spec, "scale", default=1.0)
     return lambda n: scale / (n + offset)
 
 
@@ -297,7 +304,6 @@ def build_inputs(config: RunConfig, workers: int,
             family, sched, _ = build_section4(
                 _read(problem, "N", int), _read(problem, "M", int)
             )
-            solver_cfg = SolverConfig(mode="algorithm2")
         elif name in PRESET_NAMES:
             parts = {
                 key: [_build(builders, s, key) for s in _read(problem, key, list, [])]
@@ -305,7 +311,7 @@ def build_inputs(config: RunConfig, workers: int,
                                       ("operators", _OPERATORS), ("maps", _MAPS))
             }
             solution = problem.get("known_solution")
-            family, solver_cfg, sched = preset(
+            family, _, sched = preset(
                 name,
                 base=_build(_BASES, problem.get("base", {}), "base", "kind"),
                 known_solution=None if solution is None else _build(
@@ -352,9 +358,7 @@ def build_inputs(config: RunConfig, workers: int,
         raise ConfigError(f"unknown stop rule {rule!r}")
 
     try:
-        solver_cfg = replace(
-            solver_cfg,
-            mode=config.mode or solver_cfg.mode,
+        solver_cfg = SolverConfig(
             stop=stop,
             max_iter=config.max_iter,
             projection_tol=config.projection_tol,

@@ -222,8 +222,6 @@ class ProblemFamily:
     gep_kernel: GepKernel
     map_kernel: MapKernel
     known_solution: Any = None
-    # Family-level flag so huge lazy member sequences never need a scan.
-    has_asymptotic_maps: bool = False
     gep_moved: Callable[[float, np.ndarray], int] | None = None
     map_moved: Callable[[int, np.ndarray], int] | None = None
 
@@ -317,8 +315,7 @@ class ProblemFamily:
         return cls(
             base=base, geps=geps, maps=maps,
             alpha=alpha, kappa=kappa, k_seq=k_seq,
-            gep_kernel=gep_kernel, map_kernel=map_kernel,
-            has_asymptotic_maps=bool(asymptotic), **kwargs,
+            gep_kernel=gep_kernel, map_kernel=map_kernel, **kwargs,
         )
 
 

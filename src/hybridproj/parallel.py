@@ -123,20 +123,17 @@ def furthest_candidate(
         fixed = np.asarray(fixed, dtype=np.float64)
         if fixed.shape != x.shape:
             raise ValueError(f"fixed point has shape {fixed.shape}, expected {x.shape}")
-    # A prefix that fits in one block stays on the calling thread: pool
-    # dispatch costs more than splitting it saves.
+    # Share 0 runs on the calling thread. A prefix that fits in one block is
+    # one share and never touches the pool: dispatch costs more than it saves.
     split = pool is not None and moved > TARGET_CHUNK_ROWS
     shares = chunk_ranges(moved, workers if split else 1)
-    if len(shares) <= 1:
-        results = [_chunk_best(evaluate, lo, hi, x) for lo, hi in shares]
-    else:
-        futures = [pool.submit(_chunk_best, evaluate, *share, x) for share in shares[1:]]
-        try:
-            results = [_chunk_best(evaluate, *shares[0], x)]
-        finally:
-            # No share outlives the call, even when the first one raises.
-            wait(futures)
-        results += [f.result() for f in futures]
+    futures = [pool.submit(_chunk_best, evaluate, *share, x) for share in shares[1:]]
+    try:
+        results = [_chunk_best(evaluate, *share, x) for share in shares[:1]]
+    finally:
+        # No share outlives the call, even when the first one raises.
+        wait(futures)
+    results += [f.result() for f in futures]
     if moved < count:
         # Every left-out member's candidate is ``fixed``: its first index is
         # ``moved``, and it must beat the prefix strictly to keep ties earlier.

@@ -60,6 +60,11 @@ class IntervalSolution:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        if not -math.inf < self.lo <= self.hi < math.inf:
+            raise ValueError(f"interval solution needs finite lo <= hi, "
+                             f"got [{self.lo!r}, {self.hi!r}]")
+
     def project(self, x0) -> np.ndarray:
         return np.array([min(max(float(as_vector(x0)[0]), self.lo), self.hi)])
 
@@ -312,7 +317,8 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
            known_solution=None, omega: float | None = None):
     """Wire user parts into one of the reduced schemes.
 
-    Returns ``(family, config, schedule)``. Preset names:
+    Returns ``(family, config, schedule)``; the config is the default
+    :class:`SolverConfig`. Preset names:
 
     - ``cor1``: equilibrium members (paired with zero operators) followed by
       variational-inequality members (zero bifunctions with the given
@@ -324,7 +330,8 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
       asymptotic 0-strict pseudocontraction with the sequence ``k_n^2``
       (Kim & Xu, 2008), so the cut slack is ``(max_i k_i(n)^2 - 1)`` times
       ``(||x_n|| + omega)^2`` and the mapping relaxation is zero.
-    - ``cor5``: equilibrium members and plain mappings with exact cuts.
+    - ``cor5``: equilibrium members and plain mappings. Its cuts are exact:
+      plain mappings hold with ``k_n = 1``, where the slack vanishes.
     """
     if name == "section4":
         raise ValueError("use build_section4 for the benchmark preset")
@@ -333,7 +340,6 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
     bifunctions = tuple(bifunctions)
     operators = tuple(operators)
     maps = tuple(maps)
-    mode = "algorithm1"
 
     if name == "cor1":
         geps = tuple((f, zero_operator()) for f in bifunctions) + tuple(
@@ -364,12 +370,11 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
         if any(s.asymptotic for s in maps):
             raise ValueError("cor5 takes plain pseudocontractions")
         geps = tuple((f, zero_operator()) for f in bifunctions)
-        mode = "algorithm2"
 
     family = ProblemFamily.from_members(
         base, geps, maps, known_solution=known_solution
     )
-    return family, SolverConfig(mode=mode), default_schedule(family, omega=omega)
+    return family, SolverConfig(), default_schedule(family, omega=omega)
 
 
 def _squared_sequence(k_seq):

@@ -5,10 +5,11 @@ bifunction/operator pairs, then relaxed mapping steps over the family of
 mappings), selects the candidate furthest from the current iterate in each
 phase, appends the halfspace cut that separates the next approximation from
 the current one, and projects the fixed anchor point onto the accumulated
-intersection. Two modes are supported: ``algorithm1`` relaxes each cut by a
-slack computed from the asymptotic sequence, and applies asymptotic mappings
-at power ``n``; ``algorithm2`` uses exact cuts and single applications, and
-requires all mappings to be plain (non-asymptotic) pseudocontractions.
+intersection. Asymptotic mappings are applied at power ``n`` and each cut is
+relaxed by the slack ``(k_n - 1) * (||x_n|| + omega)^2``. A plain strict
+pseudocontraction is an asymptotic one with ``k_n = 1`` applied once, so for
+a family of plain mappings the slack is zero and the same loop runs the
+paper's exact-cut method.
 
 Both parallel phases reduce in fixed index order, so every result is
 independent of the worker count.
@@ -74,8 +75,8 @@ class ParamSchedule:
     def violations(self, kappa: float, ism_alpha: float, count: int) -> list[str]:
         """Condition violations over iterations ``0 .. count-1`` (capped)."""
         problems: list[str] = []
-        if not self.omega >= 0:
-            problems.append(f"omega={self.omega!r} must be nonnegative")
+        if not 0 <= self.omega < math.inf:
+            problems.append(f"omega={self.omega!r} must be nonnegative and finite")
         if not (self.b < 1.0):
             problems.append(f"b={self.b!r} must be below 1")
         if self.b < kappa:
@@ -132,7 +133,6 @@ StopRule = ToleranceToReference | ResidualBelow
 
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: str = "algorithm2"
     stop: StopRule | None = None
     max_iter: int = 1000
     projection_tol: float = 1e-12
@@ -141,8 +141,6 @@ class SolverConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("algorithm1", "algorithm2"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.workers < 1:
@@ -153,11 +151,6 @@ class SolverConfig:
         return self.record_history or isinstance(self.stop, ResidualBelow)
 
     def check_against(self, problem: ProblemFamily) -> None:
-        if self.mode == "algorithm2" and problem.has_asymptotic_maps:
-            raise ValueError(
-                "algorithm2 handles plain pseudocontractions only; "
-                "use algorithm1 for asymptotic mappings"
-            )
         if (isinstance(self.stop, ToleranceToReference)
                 and self.stop.reference.size != problem.base.dim):
             raise ValueError(
@@ -208,15 +201,16 @@ class Report:
 
 
 def cut_relaxation(k_n: float, x, omega: float) -> float:
-    """Slack ``(k_n - 1) * (||x|| + omega)^2`` added to an asymptotic cut.
+    """Slack ``(k_n - 1) * (||x|| + omega)^2`` added to the cut of iteration n.
 
     ``k_n`` is the sequence of the pseudocontraction inequality (for cor4,
-    the largest squared constant of its maps); the slack vanishes at 1.
+    the largest squared constant of its maps). A family of plain mappings
+    has ``k_n = 1``, where the slack is exactly 0.0 and the cut is exact.
     """
     if k_n < 1.0:
         raise ValueError("asymptotic constant must be at least 1")
-    if omega < 0.0:
-        raise ValueError("solution norm bound must be nonnegative")
+    if not 0.0 <= omega < math.inf:
+        raise ValueError("solution norm bound must be nonnegative and finite")
     reach = float(np.linalg.norm(as_vector(x))) + omega
     return (k_n - 1.0) * reach * reach
 
@@ -257,7 +251,6 @@ def iterate(
         y_far, i_far, res_y = x, -1, 0.0
     t1 = time.perf_counter()
 
-    nominal_power = n if cfg.mode == "algorithm1" else 1
     if problem.n_maps > 0:
         mix = alpha_n * x + (1.0 - alpha_n) * beta_n * y_far
         scale = (1.0 - alpha_n) * (1.0 - beta_n)
@@ -266,13 +259,13 @@ def iterate(
         # combine only the winner.
         c = (x - mix) / scale
         s_sel = furthest_candidate(
-            map_chunk_evaluator(problem, nominal_power, y_far),
+            map_chunk_evaluator(problem, n, y_far),
             problem.n_maps,
             c,
             fixed=y_far,
             pool=pool,
             workers=cfg.workers,
-            moved=problem.map_moved(nominal_power, y_far),
+            moved=problem.map_moved(n, y_far),
         )
         z_far = s_sel.point * scale + mix
         j_far = s_sel.index
@@ -283,10 +276,7 @@ def iterate(
         res_z = float(np.linalg.norm(z_far - x))
     t2 = time.perf_counter()
 
-    if cfg.mode == "algorithm1":
-        eps = cut_relaxation(sched.k_fn(n), x, sched.omega)
-    else:
-        eps = 0.0
+    eps = cut_relaxation(sched.k_fn(n), x, sched.omega)
     state.nested.add_cut(halfspace_from_iterate(x, z_far, eps))
 
     try:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ from hybridproj.cli import (
     load_config,
     main,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_benchmark_config(**overrides):
@@ -133,12 +137,19 @@ class TestRunConfig:
             ({"problem": dict(COR5_PROBLEM, base=[1, 2])}, "base"),
             ({"problem": dict(COR5_PROBLEM, bifunctions=[
                 {"variant": "section4", "xi": [0.1]}])}, "xi"),
+            ({"mode": "algorithm2"}, "mode"),
+            ({"problem": dict(COR5_PROBLEM, bifunctions=[
+                {"variant": "section4", "xi": math.nan}])}, "xi"),
+            ({"schedule": {"omega": math.inf}}, "omega"),
+            ({"problem": dict(COR5_PROBLEM, known_solution={
+                "kind": "interval", "lo": math.nan, "hi": 0.0})}, "lo"),
         ],
         ids=[
             "x0-1.0", "x0-None", "max_iter-5", "workers-2", "projection_tol-x",
             "x0-inf", "x0-nan", "stop-string", "residual-without-tol",
             "tol_to_reference-without-tol", "tol-zero", "alpha-number",
             "constant-without-value", "b-string", "base-list", "xi-list",
+            "mode", "xi-nan", "omega-inf", "interval-lo-nan",
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, overrides, key):
@@ -198,7 +209,7 @@ class TestRun:
         assert float(rows[1][1]) == 1.0  # starting iterate norm
         for row in rows[1:]:
             assert float(row[3]) >= 0.0  # res_y
-            assert float(row[2]) == 0.0  # exact cuts in algorithm2
+            assert float(row[2]) == 0.0  # plain maps: k_n = 1, exact cuts
 
     def test_csv_floats_round_trip(self, tmp_path):
         out = tmp_path / "r"
@@ -232,6 +243,30 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["stop_reason"] == "tol_to_reference"
         assert summary["reference_gap"] <= 1e-6
+
+    def test_declared_k_relaxes_every_cut(self, tmp_path, capsys):
+        # The iterate stays at 1 and omega is 1 on section4, so every slack
+        # is (1.5 - 1) * (1 + 1)^2.
+        out = tmp_path / "relaxed"
+        data = small_benchmark_config(
+            schedule={"k": {"kind": "constant", "value": 1.5}}
+        )
+        code = main(["run", "--config", write_config(tmp_path, data),
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        with (out / "history.csv").open() as handle:
+            eps = [float(row["eps_n"]) for row in csv.DictReader(handle)]
+        assert eps == [2.0] * 30
+
+    def test_empty_interval_solution_is_invalid_config(self, tmp_path, capsys):
+        problem = dict(affine_vi_config()["problem"],
+                       known_solution={"kind": "interval", "lo": 0.6, "hi": 0.2})
+        data = affine_vi_config(problem=problem)
+        code = main(["run", "--config", write_config(tmp_path, data)])
+        assert code == EXIT_INVALID_CONFIG
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "invalid-config"
+        assert "lo <= hi" in error["detail"]
 
     def test_unknown_preset_is_invalid_config(self, tmp_path, capsys):
         bad = small_benchmark_config()
@@ -438,3 +473,12 @@ class TestInlineParts:
             }
         ]
         assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_INVALID_CONFIG
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name
+)
+def test_shipped_config_builds(path):
+    config = load_config(path)
+    built = cli.build_inputs(config, cli.resolve_workers(None, config))
+    assert built.x0.size == built.family.base.dim

@@ -484,7 +484,6 @@ class TestProblemFamily:
         assert family.alpha == pytest.approx(0.25)
         assert family.kappa == pytest.approx(max(1 - 1 / 1.5, 1 - 1 / 1.2))
         assert family.k_seq(3) == 1.0
-        assert not family.has_asymptotic_maps
 
     def test_asymptotic_flag(self):
         s = PseudoContraction(
@@ -492,7 +491,6 @@ class TestProblemFamily:
             k_seq=lambda n: 1.0 + 1.0 / (n + 1),
         )
         family = ProblemFamily.from_members(BASE, [], [s])
-        assert family.has_asymptotic_maps
         assert family.k_seq(0) == pytest.approx(2.0)
 
     def test_plain_map_sequence_ignored(self):

@@ -292,6 +292,17 @@ class TestKnownSolutionSet:
         assert sol.lo == -1.0 and sol.hi == pytest.approx(ref)
         assert sol.project([1.0])[0] == pytest.approx(ref)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.6, 0.2), (math.nan, 0.0), (-1.0, math.inf)],
+        ids=["reversed", "nan", "inf"],
+    )
+    def test_interval_needs_finite_ordered_ends(self, lo, hi):
+        with pytest.raises(ValueError, match="finite lo <= hi"):
+            IntervalSolution(lo=lo, hi=hi)
+
+    def test_point_interval_is_admitted(self):
+        assert IntervalSolution(lo=0.2, hi=0.2).project([0.9])[0] == 0.2
+
     def test_left_endpoint_is_solution(self):
         family, _, _ = build_section4(1, 1)
         u = np.array([-1.0])
@@ -314,14 +325,13 @@ class TestKnownSolutionSet:
 class TestPresets:
     def test_cor2_forward_step_form(self):
         base = Box(lo=[-1.0], hi=[1.0])
-        family, cfg, sched = preset(
+        family, _, sched = preset(
             "cor2",
             base=base,
             operators=[affine_operator(1.0, [0.5])],
             maps=[identity_map()],
             known_solution=PointSolution(point=[0.5]),
         )
-        assert cfg.mode == "algorithm1"
         f, A = family.geps[0]
         x = np.array([0.8])
         r = sched.r_fn(0)
@@ -349,13 +359,12 @@ class TestPresets:
 
     def test_cor5_pure_resolvent_step(self):
         base = Box(lo=[-1.0], hi=[1.0])
-        family, cfg, sched = preset(
+        family, _, sched = preset(
             "cor5",
             base=base,
             bifunctions=[section4_bifunction(-0.5)],
             maps=[section4_map(1.5)],
         )
-        assert cfg.mode == "algorithm2"
         f, A = family.geps[0]
         x = np.array([0.9])
         y = resolvent(f, A, sched.r_fn(0), x, base)
@@ -394,10 +403,9 @@ class TestPresets:
             asymptotic=True,
             k_seq=lambda n: 1.0 + 1.0 / (n + 2),
         )
-        family, cfg, sched = preset(
+        family, _, sched = preset(
             "cor4", base=base, bifunctions=[ZeroBifunction()], maps=[drift]
         )
-        assert cfg.mode == "algorithm1"
         assert sched.beta_fn(5) == 0.0
         # The family sequence is squared, and the schedule slack uses it.
         assert family.k_seq(0) == 1.5 * 1.5

@@ -81,6 +81,8 @@ class TestCutRelaxation:
             cut_relaxation(0.99, [1.0], 1.0)
         with pytest.raises(ValueError):
             cut_relaxation(1.0, [1.0], -1.0)
+        with pytest.raises(ValueError):
+            cut_relaxation(1.0, [1.0], math.inf)
         with pytest.raises(TypeError):
             cut_relaxation(1.0, [1.0], 1.0, "squared")
 
@@ -132,6 +134,10 @@ class TestScheduleValidation:
     def test_k_below_one(self):
         sched = flat_schedule(k=0.5)
         assert any("k_0" in s for s in sched.violations(0.0, math.inf, 5))
+
+    def test_omega_must_be_finite(self):
+        sched = flat_schedule(omega=math.inf)
+        assert any("omega" in s for s in sched.violations(0.0, math.inf, 5))
 
 
 class TestIterate:
@@ -220,7 +226,7 @@ class TestIterate:
         )
         family = ProblemFamily.from_members(BASE, [], [halving])
         sched = flat_schedule()
-        cfg = SolverConfig(mode="algorithm1")
+        cfg = SolverConfig()
         state = initial_state([0.8])
         for expected_power in range(3):
             alpha = sched.alpha_fn(state.n)
@@ -230,16 +236,20 @@ class TestIterate:
             state = iterate(state, family, sched, cfg)
             assert state.last.z_far[0] == pytest.approx(predicted[0], abs=1e-15)
 
-    def test_plain_maps_single_application_in_both_modes(self):
-        family, sched, _ = build_section4(32, 48)
-        runs = []
-        for mode in ("algorithm1", "algorithm2"):
-            cfg = SolverConfig(mode=mode, max_iter=30, record_history=True)
-            runs.append(solve(family, sched, cfg, [1.0]))
-        assert runs[0].final_x[0] == runs[1].final_x[0]
-        for a, b in zip(runs[0].history, runs[1].history):
-            assert np.array_equal(a.z_far, b.z_far)
-            assert a.eps == 0.0 and b.eps == 0.0
+    def test_plain_maps_single_application_at_every_iteration(self):
+        # The twin of the test above: a plain map is applied once whatever
+        # the iteration index, and its unit sequence leaves the cut exact.
+        halving = PseudoContraction(map=lambda v: 0.5 * v, kappa=0.0)
+        family = ProblemFamily.from_members(BASE, [], [halving])
+        sched = flat_schedule()
+        state = initial_state([0.8])
+        for _ in range(4):
+            alpha = sched.alpha_fn(state.n)
+            x = state.x
+            predicted = alpha * x + (1 - alpha) * halving(x)
+            state = iterate(state, family, sched, SolverConfig())
+            assert state.last.z_far[0] == predicted[0]
+            assert state.last.eps == 0.0
 
 
 def table_family(y_rows, s_rows):
@@ -443,14 +453,6 @@ class TestSolve:
             cfg.check_against(family)
         with pytest.raises(ValueError, match="stop reference has dimension 1; "):
             solve(family, flat_schedule(), cfg, [0.6, -0.5])
-
-    def test_mode2_rejects_asymptotic_maps(self):
-        s = PseudoContraction(
-            map=lambda v: 0.5 * v, kappa=0.0, asymptotic=True
-        )
-        family = ProblemFamily.from_members(BASE, [], [s])
-        with pytest.raises(ValueError):
-            solve(family, flat_schedule(), SolverConfig(mode="algorithm2"), [0.5])
 
     def test_inadmissible_schedule_rejected(self):
         family, sched, _ = build_section4(3, 3)
