@@ -5,7 +5,10 @@ A run is described by one JSON config file. The problem is either the
 built-in benchmark preset ("section4" with sizes N and M) or a reduced-scheme
 preset ("cor1" .. "cor5") with inline parts built from variant tags. Exit
 codes: 0 success, 1 invalid config, 2 solver failure, 3 validation failure.
-The subcommands raise ConfigError for a bad config; ``main`` reports it.
+Every config value, at any depth, is read by ``_read``, which names its key
+in each refusal; the anchor and the stop reference pass ``checked_anchor``,
+the gate of ``solve``. The subcommands raise ConfigError for a bad config or
+flag; ``main`` reports it.
 Worker-count precedence: --workers flag, then the config field, then the
 HYBRIDPROJ_WORKERS environment variable, then 1.
 """
@@ -18,13 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from .geometry import Ball, Box, InfeasibleSetError, ProjectionFailure, as_vector
+from .geometry import Ball, Box, as_vector
 from .operators import (
     ScalarMonotoneBifunction,
     ZeroBifunction,
@@ -51,6 +54,7 @@ from .solver import (
     ResidualBelow,
     SolverConfig,
     ToleranceToReference,
+    checked_anchor,
     solve,
 )
 
@@ -89,11 +93,89 @@ class ConfigError(ValueError):
     """The config file is malformed or describes an inadmissible run."""
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """A number that converts to a finite float; bools are not numbers."""
-    kinds = int if integer else (int, float)
-    return (isinstance(value, kinds) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+# The kinds of config value. JSON has ints, floats, bools, strings, lists,
+# objects and null. Numbers are tested by exact type, so a bool (an int
+# subclass) is never a number and a float never an integer.
+def _number(value) -> float:
+    """A JSON int or float, finite (the NaN and Infinity of JSON readers fail)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value) -> float:
+    if not _number(value) > 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return float(value)
+
+
+def _integer(value, least: float = -math.inf) -> int:
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be at least {least}, got {value}")
+    return value
+
+
+def _vector(value) -> np.ndarray:
+    """A number or a nonempty list of numbers, as a float64 vector."""
+    items = value if isinstance(value, list) else [value]
+    try:
+        return as_vector([_number(item) for item in items])
+    except ValueError:
+        raise ValueError("must be a number or a nonempty list of numbers, "
+                         f"got {value!r}") from None
+
+
+def _kind(kind: type, name: str):
+    def check(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"must be {name}, got {value!r}")
+        return value
+    return check
+
+
+def _or_none(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+_flag = _kind(bool, "true or false")
+_list = _kind(list, "a list")
+_object = _kind(dict, "an object")
+
+
+def _read(spec: dict, key: str, convert=_number, default=MISSING):
+    """``convert(spec[key])``, or ``default`` when ``key`` is absent.
+
+    Without a default the entry is required. A missing entry or a failed
+    conversion is a ConfigError that names ``key``.
+    """
+    if key not in spec:
+        if default is MISSING:
+            raise ConfigError(f"missing {key!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError, ArithmeticError) as err:
+        raise ConfigError(f"{key!r}: {err}") from err
+
+
+# How ``RunConfig.from_dict`` reads each field.
+_FIELD_READERS = {
+    "problem": _object,
+    "x0": lambda value: tuple(_vector(value).tolist()),
+    "schedule": _or_none(_object),
+    "stop": _or_none(_object),
+    "max_iter": _integer,
+    # SolverConfig refuses a count below 1 too, but bench never builds one
+    # from this count.
+    "workers": _or_none(lambda value: _integer(value, 1)),
+    "projection_tol": _positive,
+    "projection_max_sweeps": lambda value: _integer(value, 1),
+    "record_history": _flag,
+    "seed": lambda value: _integer(value, 0),
+    "out": _or_none(_kind(str, "a string")),
+}
 
 
 @dataclass(frozen=True)
@@ -104,11 +186,11 @@ class RunConfig:
     x0: tuple[float, ...]
     schedule: dict | None = None
     stop: dict | None = None
-    max_iter: int = 1000
+    max_iter: int = SolverConfig.max_iter
     workers: int | None = None
-    projection_tol: float = 1e-12
-    projection_max_sweeps: int = 10_000
-    record_history: bool = False
+    projection_tol: float = SolverConfig.projection_tol
+    projection_max_sweeps: int = SolverConfig.projection_max_sweeps
+    record_history: bool = SolverConfig.record_history
     seed: int = 0
     out: str | None = None
 
@@ -116,41 +198,12 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - {f for f in cls.__dataclass_fields__}
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "problem" not in raw or not isinstance(raw["problem"], dict):
-            raise ConfigError("config requires a 'problem' object")
-        if "x0" not in raw:
-            raise ConfigError("config requires the anchor 'x0'")
-        x0 = raw["x0"]
-        if _is_number(x0):
-            x0 = [x0]
-        if not isinstance(x0, (list, tuple)) or not x0 or not all(map(_is_number, x0)):
-            raise ConfigError(
-                f"'x0' must be a number or a nonempty list of them, got {raw['x0']!r}"
-            )
-        for key in ("schedule", "stop"):
-            if not isinstance(raw.get(key, {}), (dict, type(None))):
-                raise ConfigError(f"{key!r} must be an object, got {raw[key]!r}")
-        for key in ("max_iter", "workers", "projection_max_sweeps", "seed",
-                    "projection_tol"):
-            value = raw.get(key, 0)
-            integer = key != "projection_tol"
-            if not (_is_number(value, integer) or key == "workers" and value is None):
-                kind = "an integer" if integer else "a number"
-                raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
-        data = dict(raw)
-        data["x0"] = tuple(float(v) for v in x0)
-        try:
-            cfg = cls(**data)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
-        if cfg.max_iter < 0:
-            raise ConfigError("max_iter must be nonnegative")
-        if cfg.workers is not None and cfg.workers < 1:
-            raise ConfigError("workers must be positive")
-        return cfg
+        return cls(**{key: _read(raw, key, _FIELD_READERS[key], field.default)
+                      for key, field in fields.items()})
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -166,36 +219,6 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return RunConfig.from_dict(raw)
-
-
-def _finite(value) -> float:
-    """``float(value)``; NaN and the infinities that JSON admits fail."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be finite, got {value!r}")
-    return number
-
-
-def _read(spec: dict, key: str, convert=_finite, default=None):
-    """``convert(spec[key])``, or ``default`` when ``key`` is absent.
-
-    Without a default the entry is required. A missing entry or a failed
-    conversion is a ConfigError that names ``key``.
-    """
-    if key not in spec:
-        if default is None:
-            raise ConfigError(f"missing {key!r}")
-        return default
-    try:
-        return convert(spec[key])
-    except (TypeError, ValueError, ArithmeticError) as err:
-        raise ConfigError(f"{key!r}: {err}") from err
-
-
-def _positive(value) -> float:
-    if not _finite(value) > 0:
-        raise ValueError(f"must be positive, got {value!r}")
-    return float(value)
 
 
 def _build(builders: dict, spec, key: str, tag: str = "variant"):
@@ -229,8 +252,8 @@ def _inverse_offset(spec: dict):
 
 # Builders of the inline parts, by the value of their tag.
 _BASES = {
-    "box": lambda s: Box(lo=_read(s, "lo", as_vector), hi=_read(s, "hi", as_vector)),
-    "ball": lambda s: Ball(center=_read(s, "center", as_vector),
+    "box": lambda s: Box(lo=_read(s, "lo", _vector), hi=_read(s, "hi", _vector)),
+    "ball": lambda s: Ball(center=_read(s, "center", _vector),
                            radius=_read(s, "radius")),
 }
 _BIFUNCTIONS = {
@@ -244,7 +267,7 @@ _BIFUNCTIONS = {
 }
 _OPERATORS = {
     "zero": lambda s: zero_operator(),
-    "affine": lambda s: affine_operator(_read(s, "gain"), _read(s, "root", as_vector)),
+    "affine": lambda s: affine_operator(_read(s, "gain"), _read(s, "root", _vector)),
 }
 _MAPS = {
     "identity": lambda s: identity_map(),
@@ -252,7 +275,7 @@ _MAPS = {
 }
 _SOLUTIONS = {
     "interval": lambda s: IntervalSolution(lo=_read(s, "lo"), hi=_read(s, "hi")),
-    "point": lambda s: PointSolution(point=_read(s, "value", as_vector)),
+    "point": lambda s: PointSolution(point=_read(s, "value", _vector)),
 }
 _SEQUENCES = {"constant": _constant, "inverse_offset": _inverse_offset}
 
@@ -290,9 +313,9 @@ def build_inputs(config: RunConfig, workers: int,
                  check_schedule: bool = True) -> BuildResult:
     """Turn a config into solver inputs; raises ConfigError on bad data.
 
-    This is where reading a config fails: a malformed entry, a dimension
-    mismatch, an anchor outside the base set or an inadmissible run is a
-    ConfigError that names its cause.
+    This is where reading a config fails: a malformed entry, an anchor or
+    stop reference that ``solve`` would refuse (``checked_anchor``) or an
+    inadmissible run is a ConfigError that names its cause.
     With ``check_schedule=False`` the admissibility conditions are left to
     the caller (the validate subcommand reports them instead of refusing to
     build).
@@ -302,11 +325,11 @@ def build_inputs(config: RunConfig, workers: int,
     try:
         if name == "section4":
             family, sched, _ = build_section4(
-                _read(problem, "N", int), _read(problem, "M", int)
+                _read(problem, "N", _integer), _read(problem, "M", _integer)
             )
         elif name in PRESET_NAMES:
             parts = {
-                key: [_build(builders, s, key) for s in _read(problem, key, list, [])]
+                key: [_build(builders, s, key) for s in _read(problem, key, _list, [])]
                 for key, builders in (("bifunctions", _BIFUNCTIONS),
                                       ("operators", _OPERATORS), ("maps", _MAPS))
             }
@@ -330,13 +353,6 @@ def build_inputs(config: RunConfig, workers: int,
         sched = _apply_schedule_overrides(sched, config.schedule)
 
     x0 = as_vector(list(config.x0))
-    if x0.size != family.base.dim:
-        raise ConfigError(
-            f"'x0' has dimension {x0.size}; "
-            f"the base set has dimension {family.base.dim}"
-        )
-    if not family.base.contains(x0, 1e-9):
-        raise ConfigError(f"anchor 'x0' {list(config.x0)} lies outside the base set")
     reference = None
     if family.known_solution is not None:
         reference = family.known_solution.project(x0)
@@ -346,11 +362,12 @@ def build_inputs(config: RunConfig, workers: int,
     rule = spec.get("rule")
     if rule == "tol_to_reference":
         if "l" in spec:
-            tol = _read(spec, "l", lambda digits: _positive(10.0 ** -float(digits)))
+            tol = _read(spec, "l", lambda digits: _positive(10.0 ** -_number(digits)))
         else:
             tol = _read(spec, "tol", _positive)
         # Without a known solution the reference is required.
-        ref_v = _read(spec, "reference", as_vector, reference)
+        ref_v = _read(spec, "reference", _vector,
+                      MISSING if reference is None else reference)
         stop = ToleranceToReference(reference=ref_v, tol=tol)
     elif rule == "residual":
         stop = ResidualBelow(tol=_read(spec, "tol", _positive))
@@ -366,7 +383,7 @@ def build_inputs(config: RunConfig, workers: int,
             workers=workers,
             record_history=config.record_history,
         )
-        solver_cfg.check_against(family)
+        x0 = checked_anchor(family, solver_cfg, x0)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     if check_schedule:
@@ -384,16 +401,9 @@ def resolve_workers(flag: int | None, config: RunConfig) -> int:
         return flag
     if config.workers is not None:
         return config.workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError as err:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer") from err
-        if value < 1:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be positive")
-        return value
-    return 1
+    if not os.environ.get(WORKERS_ENV_VAR):
+        return 1
+    return _read(os.environ, WORKERS_ENV_VAR, lambda text: _integer(int(text), 1))
 
 
 def _summary(report: Report, reference: np.ndarray | None) -> dict:
@@ -416,26 +426,27 @@ def _write_history_csv(path: Path, report: Report) -> None:
         writer = csv.writer(handle)
         writer.writerow(HISTORY_COLUMNS)
         for rec in report.history:
-            writer.writerow(
-                [rec.n]
-                + [
-                    "%.17g" % value
-                    for value in (
-                        float(np.linalg.norm(rec.x_prev)),
-                        rec.eps,
-                        rec.res_y,
-                        rec.res_z,
-                        rec.res_s if rec.res_s is not None else math.nan,
-                        rec.t_phase1_ms,
-                        rec.t_phase3_ms,
-                        rec.t_project_ms,
-                    )
-                ]
-            )
+            res_s = math.nan if rec.res_s is None else rec.res_s
+            values = (float(np.linalg.norm(rec.x_prev)), rec.eps, rec.res_y,
+                      rec.res_z, res_s, rec.t_phase1_ms, rec.t_phase3_ms,
+                      rec.t_project_ms)
+            writer.writerow([rec.n] + ["%.17g" % value for value in values])
 
 
 def _emit_error(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
+
+
+def _out_dir(out: str | None) -> Path | None:
+    """Create the output directory before any solve; None without one."""
+    if not out:
+        return None
+    target = Path(out)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {out!r}: {err}") from err
+    return target
 
 
 def run(config: RunConfig, *, workers: int | None = None,
@@ -444,18 +455,16 @@ def run(config: RunConfig, *, workers: int | None = None,
     if history is not None:
         config = replace(config, record_history=history)
     built = build_inputs(config, resolve_workers(workers, config))
+    target = _out_dir(out if out is not None else config.out)
     try:
         report = solve(built.family, built.schedule, built.solver_config, built.x0)
-    except (ProjectionFailure, InfeasibleSetError, ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError) as err:
         _emit_error("solver-failure", str(err))
         return EXIT_SOLVER_FAILURE
 
     summary = _summary(report, built.reference)
     print(json.dumps(summary))
-    out_dir = out if out is not None else config.out
-    if out_dir:
-        target = Path(out_dir)
-        target.mkdir(parents=True, exist_ok=True)
+    if target is not None:
         (target / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
         if built.solver_config.record_history:
             _write_history_csv(target / "history.csv", report)
@@ -471,6 +480,8 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
     evaluated through the family kernels. A kernel error is a solver
     failure, as in ``run``.
     """
+    if samples < 1:
+        raise ConfigError(f"--samples must be positive, got {samples}")
     built = build_inputs(config, resolve_workers(None, config), check_schedule=False)
 
     family = built.family
@@ -546,6 +557,7 @@ def bench(config: RunConfig, worker_list: Sequence[int],
         raise ConfigError("worker counts must be positive")
 
     built = build_inputs(config, worker_list[0])
+    target = _out_dir(out)
     configs = [replace(built.solver_config, workers=w) for w in worker_list]
     runs: list[list[Report]] = [[] for _ in worker_list]
     for _ in range(BENCH_ROUNDS):
@@ -553,27 +565,21 @@ def bench(config: RunConfig, worker_list: Sequence[int],
             try:
                 solves.append(solve(built.family, built.schedule, solver_cfg,
                                     built.x0))
-            except (ProjectionFailure, InfeasibleSetError, ValueError,
-                    RuntimeError) as err:
+            except (ValueError, RuntimeError) as err:
                 _emit_error("solver-failure", str(err))
                 return EXIT_SOLVER_FAILURE
 
     head = runs[0][0]
     for other in (report for solves in runs for report in solves):
         if not np.array_equal(head.final_x, other.final_x):
-            _emit_error(
-                "determinism-violation",
-                f"final iterates differ between workers={head.workers} "
-                f"and workers={other.workers}",
-            )
-            return EXIT_SOLVER_FAILURE
-        if config.record_history and not _history_rows_match(head, other):
-            _emit_error(
-                "determinism-violation",
-                f"histories differ between workers={head.workers} "
-                f"and workers={other.workers}",
-            )
-            return EXIT_SOLVER_FAILURE
+            differ = "final iterates"
+        elif config.record_history and not _history_rows_match(head, other):
+            differ = "histories"
+        else:
+            continue
+        _emit_error("determinism-violation", f"{differ} differ between "
+                    f"workers={head.workers} and workers={other.workers}")
+        return EXIT_SOLVER_FAILURE
 
     reports = [sorted(solves, key=lambda r: r.wall_time_s)[BENCH_ROUNDS // 2]
                for solves in runs]
@@ -598,9 +604,7 @@ def bench(config: RunConfig, worker_list: Sequence[int],
             f"{row['workers']:>8} {row['iterations']:>8} "
             f"{row['wall_time_s']:>12.6f} {row['speedup']:>9.3f}"
         )
-    if out:
-        target = Path(out)
-        target.mkdir(parents=True, exist_ok=True)
+    if target is not None:
         with (target / "bench.csv").open("w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()

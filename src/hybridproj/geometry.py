@@ -25,7 +25,6 @@ __all__ = [
     "CustomSet",
     "Halfspace",
     "NestedSet",
-    "project_base",
     "halfspace_from_iterate",
     "project_nested",
     "contains",
@@ -264,18 +263,6 @@ class NestedSet:
         if cut.normal.size != self.dim:
             raise ValueError("cut dimension does not match the base set")
         self.cuts.append(cut)
-
-
-def project_base(base: BaseSet, p) -> np.ndarray:
-    """Metric projection onto a base set.
-
-    The result q satisfies the variational characterization
-    ``<p - q, q - y> >= 0`` for every y in the set.
-    """
-    v = as_vector(p)
-    if v.size != base.dim:
-        raise ValueError(f"point has dimension {v.size}, set has {base.dim}")
-    return base.project(v)
 
 
 def halfspace_from_iterate(x, zbar, eps: float = 0.0) -> Halfspace:

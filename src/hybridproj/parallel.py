@@ -5,7 +5,8 @@ furthest from a reference point. Only the moved prefix of the family is
 evaluated: every member past it leaves the evaluation point unchanged, so
 that point stands for all of them as one candidate at the prefix's end. The
 prefix is walked in blocks of at most ``TARGET_CHUNK_ROWS`` rows; with a
-worker pool it is first split into one contiguous share per worker. Every
+worker pool it is first split into one contiguous share per worker, but
+into no more shares than it has blocks. Every
 candidate value and distance is computed elementwise, so it does not depend
 on the block layout. The reduction walks blocks in index order and keeps a
 strictly greater maximum, which reproduces a global first-occurrence argmax.
@@ -106,11 +107,11 @@ def furthest_candidate(
     Only members ``0..moved-1`` are evaluated (all ``count`` by default).
     Each member from ``moved`` on counts as the candidate ``fixed``, the
     point the members are applied to; it is scored once, at index ``moved``.
-    Ties break toward the smallest index. When a pool is given and the
-    prefix spans more than one block, it runs as one contiguous share per
-    worker, the first on the calling thread; the reduction order stays fixed
-    either way. A candidate at a non-finite distance from ``x`` raises
-    ``ValueError`` naming its member.
+    Ties break toward the smallest index. With a pool the prefix runs as
+    one contiguous share per worker, but no more shares than blocks, the
+    first on the calling thread; the reduction order stays fixed either way.
+    A candidate at a non-finite distance from ``x`` raises ``ValueError``
+    naming its member.
     """
     if count <= 0:
         raise ValueError("candidate family must be nonempty")
@@ -123,10 +124,10 @@ def furthest_candidate(
         fixed = np.asarray(fixed, dtype=np.float64)
         if fixed.shape != x.shape:
             raise ValueError(f"fixed point has shape {fixed.shape}, expected {x.shape}")
-    # Share 0 runs on the calling thread. A prefix that fits in one block is
-    # one share and never touches the pool: dispatch costs more than it saves.
-    split = pool is not None and moved > TARGET_CHUNK_ROWS
-    shares = chunk_ranges(moved, workers if split else 1)
+    # No more shares than blocks: a one-block prefix never touches the pool,
+    # and a large worker count does not submit shares smaller than a block.
+    parts = 1 if pool is None else min(workers, math.ceil(moved / TARGET_CHUNK_ROWS))
+    shares = chunk_ranges(moved, parts)
     futures = [pool.submit(_chunk_best, evaluate, *share, x) for share in shares[1:]]
     try:
         results = [_chunk_best(evaluate, *share, x) for share in shares[:1]]

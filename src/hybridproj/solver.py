@@ -26,6 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_PROJECTION_TOL,
     InfeasibleSetError,
     NestedSet,
     ProjectionFailure,
@@ -135,8 +137,8 @@ StopRule = ToleranceToReference | ResidualBelow
 class SolverConfig:
     stop: StopRule | None = None
     max_iter: int = 1000
-    projection_tol: float = 1e-12
-    projection_max_sweeps: int = 10_000
+    projection_tol: float = DEFAULT_PROJECTION_TOL
+    projection_max_sweeps: int = DEFAULT_MAX_SWEEPS
     workers: int = 1
     record_history: bool = False
 
@@ -150,13 +152,26 @@ class SolverConfig:
     def needs_map_residual(self) -> bool:
         return self.record_history or isinstance(self.stop, ResidualBelow)
 
-    def check_against(self, problem: ProblemFamily) -> None:
-        if (isinstance(self.stop, ToleranceToReference)
-                and self.stop.reference.size != problem.base.dim):
-            raise ValueError(
-                f"stop reference has dimension {self.stop.reference.size}; "
-                f"the base set has dimension {problem.base.dim}"
-            )
+
+def checked_anchor(problem: ProblemFamily, cfg: SolverConfig, x0) -> np.ndarray:
+    """The run's own copy of the anchor, so that the caller's array is never
+    an argument, an iterate or a history entry.
+
+    ``x0`` must lie in the base set and a stop reference must have its
+    dimension; a refusal raises ``ValueError``.
+    """
+    dim = problem.base.dim
+    start_v = as_vector(x0).copy()
+    if start_v.size != dim:
+        raise ValueError(f"anchor x0 has dimension {start_v.size}; "
+                         f"the base set has dimension {dim}")
+    if not problem.base.contains(start_v, 1e-9):
+        raise ValueError(f"anchor x0 {start_v.tolist()} lies outside the base set")
+    stop = cfg.stop
+    if isinstance(stop, ToleranceToReference) and stop.reference.size != dim:
+        raise ValueError(f"stop reference has dimension {stop.reference.size}; "
+                         f"the base set has dimension {dim}")
+    return start_v
 
 
 @dataclass(frozen=True)
@@ -345,17 +360,7 @@ def solve(
     projection of the anchor onto the common solution set. Exhausting
     ``max_iter`` is a normal outcome reported as reason ``"budget"``.
     """
-    # The run keeps its own copy of the anchor: the caller's array is never
-    # a member's argument, an iterate or a history entry.
-    start_v = as_vector(x0).copy()
-    if start_v.size != problem.base.dim:
-        raise ValueError(
-            f"anchor x0 has dimension {start_v.size}; "
-            f"the base set has dimension {problem.base.dim}"
-        )
-    if not problem.base.contains(start_v, 1e-9):
-        raise ValueError("anchor x0 must belong to the base set")
-    cfg.check_against(problem)
+    start_v = checked_anchor(problem, cfg, x0)
     issues = sched.violations(problem.kappa, problem.alpha, max(cfg.max_iter, 1))
     if issues:
         raise ValueError("inadmissible schedule: " + "; ".join(issues))

@@ -58,6 +58,7 @@ COR5_PROBLEM = {
     "base": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
     "bifunctions": [{"variant": "section4", "xi": -0.5}],
     "maps": [{"variant": "section4", "c": 1.5}],
+    "known_solution": {"kind": "interval", "lo": -1.0, "hi": -0.5},
 }
 
 
@@ -143,13 +144,32 @@ class TestRunConfig:
             ({"schedule": {"omega": math.inf}}, "omega"),
             ({"problem": dict(COR5_PROBLEM, known_solution={
                 "kind": "interval", "lo": math.nan, "hi": 0.0})}, "lo"),
+            ({"problem": {"preset": "section4", "N": "20", "M": 30}}, "N"),
+            ({"problem": {"preset": "section4", "N": 20, "M": 30.9}}, "M"),
+            ({"problem": {"preset": "section4", "N": 2e3, "M": 30}}, "N"),
+            ({"problem": dict(COR5_PROBLEM, bifunctions=[
+                {"variant": "section4", "xi": "0.25"}])}, "xi"),
+            ({"problem": dict(COR5_PROBLEM, maps=[
+                {"variant": "section4", "c": "1.5"}])}, "c"),
+            ({"problem": dict(COR5_PROBLEM, base={
+                "kind": "box", "lo": [-1.0], "hi": [True]})}, "hi"),
+            ({"stop": {"rule": "tol_to_reference", "l": True}}, "l"),
+            ({"record_history": "no"}, "record_history"),
+            ({"out": 5}, "out"),
+            ({"problem": dict(COR5_PROBLEM, operators={})}, "operators"),
+            ({"seed": -1}, "seed"),
+            ({"projection_tol": 0.0}, "projection_tol"),
+            ({"projection_max_sweeps": 0}, "projection_max_sweeps"),
         ],
         ids=[
             "x0-1.0", "x0-None", "max_iter-5", "workers-2", "projection_tol-x",
             "x0-inf", "x0-nan", "stop-string", "residual-without-tol",
             "tol_to_reference-without-tol", "tol-zero", "alpha-number",
             "constant-without-value", "b-string", "base-list", "xi-list",
-            "mode", "xi-nan", "omega-inf", "interval-lo-nan",
+            "mode", "xi-nan", "omega-inf", "interval-lo-nan", "N-string",
+            "M-fraction", "N-float", "xi-string", "c-string", "hi-bool",
+            "l-bool", "record_history-string", "out-number", "operators-object",
+            "seed-negative", "projection_tol-zero", "projection_max_sweeps-zero",
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, overrides, key):
@@ -182,6 +202,30 @@ class TestRunConfig:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "invalid-config"
         assert "outside the base set" in error["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--samples", "0"],
+        ["validate", "--samples", "-3"],
+        ["run", "--out", "{file}"],
+        ["bench", "--workers-list", "1", "--out", "{file}"],
+    ],
+    ids=["samples-zero", "samples-negative", "run-out-file", "bench-out-file"],
+)
+def test_bad_flag_is_invalid_config(tmp_path, capsys, argv):
+    # Refused before any solve: nothing on stdout, one error line on stderr.
+    cfg = write_config(tmp_path, small_benchmark_config(max_iter=2))
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep")
+    args = [arg.format(file=existing) for arg in argv]
+    assert main(args[:1] + ["--config", cfg] + args[1:]) == EXIT_INVALID_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-config"
+    assert existing.read_text() == "keep"
 
 
 class TestRun:

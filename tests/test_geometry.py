@@ -11,7 +11,6 @@ from hybridproj.geometry import (
     as_vector,
     contains,
     halfspace_from_iterate,
-    project_base,
     project_nested,
 )
 from oracles import enumerate_project, grid_project, random_cut_instance
@@ -23,20 +22,14 @@ def box1d():
 
 class TestProjectBase:
     def test_box_clamps_to_boundary(self):
-        assert project_base(box1d(), [2.0]) == pytest.approx([1.0])
+        assert box1d().project(np.array([2.0])) == pytest.approx([1.0])
 
     def test_ball_radial_scaling(self):
         ball = Ball(center=[0.0, 0.0], radius=1.0)
-        np.testing.assert_allclose(project_base(ball, [3.0, 4.0]), [0.6, 0.8])
+        np.testing.assert_allclose(ball.project(np.array([3.0, 4.0])), [0.6, 0.8])
 
     def test_interior_point_fixed(self):
-        assert project_base(box1d(), [0.3])[0] == 0.3
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            project_base(box1d(), [np.nan])
-        with pytest.raises(ValueError):
-            project_base(box1d(), [np.inf])
+        assert box1d().project(np.array([0.3]))[0] == 0.3
 
     def test_bad_box_bounds(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -150,6 +150,34 @@ def moved_evaluator(points, calls=None):
         return points[lo:hi].copy()
 
     return evaluate
+
+
+class CountingPool:
+    """Pool stand-in that runs each submission on the calling thread."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_no_more_shares_than_blocks(monkeypatch):
+    # A 3-block prefix under 64 workers makes 3 shares, not 64.
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 100)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(250, 2))
+    calls = []
+    pool = CountingPool()
+    got = furthest_candidate(moved_evaluator(points, calls), 250, np.zeros(2),
+                             pool=pool, workers=64)
+    assert pool.submitted == 2  # the first share runs on the calling thread
+    assert sorted(calls) == chunk_ranges(250, 3)
+    serial = furthest_candidate(moved_evaluator(points), 250, np.zeros(2))
+    assert (got.index, got.dist2) == (serial.index, serial.dist2)
+    np.testing.assert_array_equal(got.point, serial.point)
 
 
 def test_empty_head_tail_wins_at_lo():
