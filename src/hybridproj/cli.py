@@ -6,9 +6,10 @@ built-in benchmark preset ("section4" with sizes N and M) or a reduced-scheme
 preset ("cor1" .. "cor5") with inline parts built from variant tags. Exit
 codes: 0 success, 1 invalid config, 2 solver failure, 3 validation failure.
 Every config value, at any depth, is read by ``_read``, which names its key
-in each refusal; the anchor and the stop reference pass ``checked_anchor``,
-the gate of ``solve``. The subcommands raise ConfigError for a bad config or
-flag; ``main`` reports it.
+in each refusal, spelling the refused value as JSON. ``run`` and ``bench``
+pass ``checked_inputs``, the gate of ``solve``, once; ``validate`` reports
+the schedule's violations instead. The subcommands raise ConfigError for a
+bad config or flag; ``main`` reports it.
 Worker-count precedence: --workers flag, then the config field, then the
 HYBRIDPROJ_WORKERS environment variable, then 1.
 """
@@ -32,13 +33,10 @@ from .operators import (
     ScalarMonotoneBifunction,
     ZeroBifunction,
     affine_operator,
-    gep_chunk_evaluator,
     identity_map,
-    map_chunk_evaluator,
     verify_family,
     zero_operator,
 )
-from .parallel import furthest_candidate
 from .problems import (
     PRESET_NAMES,
     IntervalSolution,
@@ -54,8 +52,11 @@ from .solver import (
     ResidualBelow,
     SolverConfig,
     ToleranceToReference,
+    _solve,
     checked_anchor,
-    solve,
+    checked_inputs,
+    mapping_phase,
+    resolvent_phase,
 )
 
 __all__ = [
@@ -93,25 +94,30 @@ class ConfigError(ValueError):
     """The config file is malformed or describes an inadmissible run."""
 
 
+def _json(value) -> str:
+    """A refused value as JSON spells it (by repr where JSON has no form)."""
+    return json.dumps(value, default=repr)
+
+
 # The kinds of config value. JSON has ints, floats, bools, strings, lists,
 # objects and null. Numbers are tested by exact type, so a bool (an int
 # subclass) is never a number and a float never an integer.
 def _number(value) -> float:
     """A JSON int or float, finite (the NaN and Infinity of JSON readers fail)."""
     if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
+        raise ValueError(f"must be a finite number, got {_json(value)}")
     return float(value)
 
 
 def _positive(value) -> float:
     if not _number(value) > 0:
-        raise ValueError(f"must be positive, got {value!r}")
+        raise ValueError(f"must be positive, got {_json(value)}")
     return float(value)
 
 
 def _integer(value, least: float = -math.inf) -> int:
     if type(value) is not int:
-        raise ValueError(f"must be an integer, got {value!r}")
+        raise ValueError(f"must be an integer, got {_json(value)}")
     if value < least:
         raise ValueError(f"must be at least {least}, got {value}")
     return value
@@ -124,13 +130,13 @@ def _vector(value) -> np.ndarray:
         return as_vector([_number(item) for item in items])
     except ValueError:
         raise ValueError("must be a number or a nonempty list of numbers, "
-                         f"got {value!r}") from None
+                         f"got {_json(value)}") from None
 
 
 def _kind(kind: type, name: str):
     def check(value):
         if not isinstance(value, kind):
-            raise ValueError(f"must be {name}, got {value!r}")
+            raise ValueError(f"must be {name}, got {_json(value)}")
         return value
     return check
 
@@ -224,10 +230,10 @@ def load_config(path: str | Path) -> RunConfig:
 def _build(builders: dict, spec, key: str, tag: str = "variant"):
     """Build config part ``key`` from its object with the builder its tag names."""
     if not isinstance(spec, dict):
-        raise ConfigError(f"{key!r} must be an object, got {spec!r}")
+        raise ConfigError(f"{key!r} must be an object, got {_json(spec)}")
     kind = spec.get(tag)
     if kind not in builders:
-        raise ConfigError(f"{key!r} has unknown {tag} {kind!r}")
+        raise ConfigError(f"{key!r} has unknown {tag} {_json(kind)}")
     return builders[kind](spec)
 
 
@@ -309,17 +315,9 @@ class BuildResult:
     reference: np.ndarray | None
 
 
-def build_inputs(config: RunConfig, workers: int,
-                 check_schedule: bool = True) -> BuildResult:
-    """Turn a config into solver inputs; raises ConfigError on bad data.
-
-    This is where reading a config fails: a malformed entry, an anchor or
-    stop reference that ``solve`` would refuse (``checked_anchor``) or an
-    inadmissible run is a ConfigError that names its cause.
-    With ``check_schedule=False`` the admissibility conditions are left to
-    the caller (the validate subcommand reports them instead of refusing to
-    build).
-    """
+def _assemble(config: RunConfig, workers: int) -> BuildResult:
+    """Turn a config into solver inputs that have not passed a gate yet;
+    a malformed entry is a ConfigError that names its cause."""
     problem = config.problem
     name = problem.get("preset")
     try:
@@ -343,7 +341,7 @@ def build_inputs(config: RunConfig, workers: int,
                 **parts,
             )
         else:
-            raise ConfigError(f"unknown problem preset {name!r}")
+            raise ConfigError(f"unknown problem preset {_json(name)}")
     except ValueError as err:
         if isinstance(err, ConfigError):
             raise
@@ -372,7 +370,7 @@ def build_inputs(config: RunConfig, workers: int,
     elif rule == "residual":
         stop = ResidualBelow(tol=_read(spec, "tol", _positive))
     elif rule != "budget":
-        raise ConfigError(f"unknown stop rule {rule!r}")
+        raise ConfigError(f"unknown stop rule {_json(rule)}")
 
     try:
         solver_cfg = SolverConfig(
@@ -383,17 +381,23 @@ def build_inputs(config: RunConfig, workers: int,
             workers=workers,
             record_history=config.record_history,
         )
-        x0 = checked_anchor(family, solver_cfg, x0)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if check_schedule:
-        issues = sched.violations(family.kappa, family.alpha, max(config.max_iter, 1))
-        if issues:
-            raise ConfigError("inadmissible schedule: " + "; ".join(issues))
     return BuildResult(
         family=family, schedule=sched, solver_config=solver_cfg, x0=x0,
         reference=reference,
     )
+
+
+def build_inputs(config: RunConfig, workers: int) -> BuildResult:
+    """Turn a config into solver inputs that passed ``checked_inputs``, the
+    gate of ``solve``; a refusal is a ConfigError that names its cause."""
+    built = _assemble(config, workers)
+    try:
+        checked_inputs(built.family, built.schedule, built.solver_config, built.x0)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return built
 
 
 def resolve_workers(flag: int | None, config: RunConfig) -> int:
@@ -457,7 +461,7 @@ def run(config: RunConfig, *, workers: int | None = None,
     built = build_inputs(config, resolve_workers(workers, config))
     target = _out_dir(out if out is not None else config.out)
     try:
-        report = solve(built.family, built.schedule, built.solver_config, built.x0)
+        report = _solve(built.family, built.schedule, built.solver_config, built.x0)
     except (ValueError, RuntimeError) as err:
         _emit_error("solver-failure", str(err))
         return EXIT_SOLVER_FAILURE
@@ -482,9 +486,12 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
     """
     if samples < 1:
         raise ConfigError(f"--samples must be positive, got {samples}")
-    built = build_inputs(config, resolve_workers(None, config), check_schedule=False)
-
+    built = _assemble(config, resolve_workers(None, config))
     family = built.family
+    try:
+        checked_anchor(family, built.solver_config, built.x0)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     schedule_issues = built.schedule.violations(
         family.kappa, family.alpha, max(config.max_iter, 1)
     )
@@ -492,23 +499,15 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
     failures = [asdict(e) for e in report.failures()]
 
     # The solver's res_y / res_S reduction, taken at solution points.
-    solution_gap = 0.0
+    gaps = [0.0]
     if family.known_solution is not None:
         rng = np.random.default_rng(config.seed)
         r0 = built.schedule.r_fn(0)
         try:
             for _ in range(10):
                 u = family.known_solution.project(family.base.sample(rng))
-                for evaluate, count, moved in (
-                    (gep_chunk_evaluator(family, r0, u), family.n_geps,
-                     family.gep_moved(r0, u)),
-                    (map_chunk_evaluator(family, 1, u), family.n_maps,
-                     family.map_moved(1, u)),
-                ):
-                    if count:
-                        far = furthest_candidate(evaluate, count, u, fixed=u,
-                                                 moved=moved)
-                        solution_gap = max(solution_gap, far.distance)
+                gaps.append(resolvent_phase(family, r0, u).distance)
+                gaps.append(mapping_phase(family, 1, u, u).distance)
         except (ValueError, RuntimeError) as err:
             _emit_error("solver-failure", str(err))
             return EXIT_SOLVER_FAILURE
@@ -518,8 +517,8 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
         "members_checked": report.members_checked,
         "members_total": report.members_total,
         "member_failures": failures,
-        "solution_fixed_point_max_gap": solution_gap,
-        "passed": not schedule_issues and report.ok and solution_gap <= 1e-10,
+        "solution_fixed_point_max_gap": max(gaps),
+        "passed": not schedule_issues and report.ok and max(gaps) <= 1e-10,
     }
     print(json.dumps(output))
     return EXIT_OK if output["passed"] else EXIT_VALIDATION_FAILURE
@@ -563,8 +562,8 @@ def bench(config: RunConfig, worker_list: Sequence[int],
     for _ in range(BENCH_ROUNDS):
         for solver_cfg, solves in zip(configs, runs):
             try:
-                solves.append(solve(built.family, built.schedule, solver_cfg,
-                                    built.x0))
+                solves.append(_solve(built.family, built.schedule, solver_cfg,
+                                     built.x0))
             except (ValueError, RuntimeError) as err:
                 _emit_error("solver-failure", str(err))
                 return EXIT_SOLVER_FAILURE

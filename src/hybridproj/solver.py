@@ -36,7 +36,7 @@ from .geometry import (
     project_nested,
 )
 from .operators import ProblemFamily, gep_chunk_evaluator, map_chunk_evaluator
-from .parallel import furthest_candidate, squared_distances
+from .parallel import Furthest, furthest_candidate, squared_distances
 
 __all__ = [
     "ParamSchedule",
@@ -147,6 +147,10 @@ class SolverConfig:
             raise ValueError("max_iter must be nonnegative")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        if not 0 < self.projection_tol < math.inf:
+            raise ValueError("projection_tol must be positive and finite")
+        if self.projection_max_sweeps < 1:
+            raise ValueError("projection_max_sweeps must be at least 1")
 
     @property
     def needs_map_residual(self) -> bool:
@@ -154,14 +158,10 @@ class SolverConfig:
 
 
 def checked_anchor(problem: ProblemFamily, cfg: SolverConfig, x0) -> np.ndarray:
-    """The run's own copy of the anchor, so that the caller's array is never
-    an argument, an iterate or a history entry.
-
-    ``x0`` must lie in the base set and a stop reference must have its
-    dimension; a refusal raises ``ValueError``.
-    """
+    """The anchor ``x0`` as a vector, refused with ``ValueError`` unless it
+    lies in the base set and a stop reference has the base set's dimension."""
     dim = problem.base.dim
-    start_v = as_vector(x0).copy()
+    start_v = as_vector(x0)
     if start_v.size != dim:
         raise ValueError(f"anchor x0 has dimension {start_v.size}; "
                          f"the base set has dimension {dim}")
@@ -171,6 +171,17 @@ def checked_anchor(problem: ProblemFamily, cfg: SolverConfig, x0) -> np.ndarray:
     if isinstance(stop, ToleranceToReference) and stop.reference.size != dim:
         raise ValueError(f"stop reference has dimension {stop.reference.size}; "
                          f"the base set has dimension {dim}")
+    return start_v
+
+
+def checked_inputs(problem: ProblemFamily, sched: ParamSchedule,
+                   cfg: SolverConfig, x0) -> np.ndarray:
+    """The gate of a run: ``checked_anchor``, then the schedule's admissibility
+    over the run's budget (the only scan of a ``solve``)."""
+    start_v = checked_anchor(problem, cfg, x0)
+    issues = sched.violations(problem.kappa, problem.alpha, max(cfg.max_iter, 1))
+    if issues:
+        raise ValueError("inadmissible schedule: " + "; ".join(issues))
     return start_v
 
 
@@ -230,6 +241,30 @@ def cut_relaxation(k_n: float, x, omega: float) -> float:
     return (k_n - 1.0) * reach * reach
 
 
+def resolvent_phase(problem: ProblemFamily, r: float, x: np.ndarray,
+                    pool: ThreadPoolExecutor | None = None,
+                    workers: int = 1) -> Furthest:
+    """The resolvent step ``T_r(x - r A_i x)`` furthest from ``x``; without
+    pairs, ``x`` itself at index -1."""
+    if not problem.n_geps:
+        return Furthest(-1, x, 0.0)
+    return furthest_candidate(gep_chunk_evaluator(problem, r, x), problem.n_geps, x,
+                              fixed=x, pool=pool, workers=workers,
+                              moved=problem.gep_moved(r, x))
+
+
+def mapping_phase(problem: ProblemFamily, n: int, y: np.ndarray, reference: np.ndarray,
+                  pool: ThreadPoolExecutor | None = None,
+                  workers: int = 1) -> Furthest:
+    """The mapped point ``S_j^n y`` furthest from ``reference``; without
+    mappings, ``y`` itself at index -1."""
+    if not problem.n_maps:
+        return Furthest(-1, y, float(squared_distances(y[np.newaxis], reference)[0]))
+    return furthest_candidate(map_chunk_evaluator(problem, n, y), problem.n_maps,
+                              reference, fixed=y, pool=pool, workers=workers,
+                              moved=problem.map_moved(n, y))
+
+
 def iterate(
     state: SolverState,
     problem: ProblemFamily,
@@ -248,22 +283,10 @@ def iterate(
     x = state.x
     alpha_n = sched.alpha_fn(n)
     beta_n = sched.beta_fn(n)
-    r_n = sched.r_fn(n)
 
     t0 = time.perf_counter()
-    if problem.n_geps > 0:
-        y_sel = furthest_candidate(
-            gep_chunk_evaluator(problem, r_n, x),
-            problem.n_geps,
-            x,
-            fixed=x,
-            pool=pool,
-            workers=cfg.workers,
-            moved=problem.gep_moved(r_n, x),
-        )
-        y_far, i_far, res_y = y_sel.point, y_sel.index, y_sel.distance
-    else:
-        y_far, i_far, res_y = x, -1, 0.0
+    y_sel = resolvent_phase(problem, sched.r_fn(n), x, pool, cfg.workers)
+    y_far, i_far, res_y = y_sel.point, y_sel.index, y_sel.distance
     t1 = time.perf_counter()
 
     if problem.n_maps > 0:
@@ -273,15 +296,7 @@ def iterate(
         # to x is scale * ||s_j - c||: rank the mapped points against c and
         # combine only the winner.
         c = (x - mix) / scale
-        s_sel = furthest_candidate(
-            map_chunk_evaluator(problem, n, y_far),
-            problem.n_maps,
-            c,
-            fixed=y_far,
-            pool=pool,
-            workers=cfg.workers,
-            moved=problem.map_moved(n, y_far),
-        )
+        s_sel = mapping_phase(problem, n, y_far, c, pool, cfg.workers)
         z_far = s_sel.point * scale + mix
         j_far = s_sel.index
         res_z = math.sqrt(squared_distances(z_far[np.newaxis], x)[0])
@@ -310,22 +325,10 @@ def iterate(
     t3 = time.perf_counter()
 
     res_s: float | None = None
+    t_residual_ms = 0.0
     if cfg.needs_map_residual:
-        if problem.n_maps > 0:
-            res_s = furthest_candidate(
-                map_chunk_evaluator(problem, 1, x),
-                problem.n_maps,
-                x,
-                fixed=x,
-                pool=pool,
-                workers=cfg.workers,
-                moved=problem.map_moved(1, x),
-            ).distance
-        else:
-            res_s = 0.0
+        res_s = mapping_phase(problem, 1, x, x, pool, cfg.workers).distance
         t_residual_ms = (time.perf_counter() - t3) * 1e3
-    else:
-        t_residual_ms = 0.0
 
     record = IterationRecord(
         n=n,
@@ -347,27 +350,24 @@ def iterate(
     return replace(state, n=n + 1, x=x_new, last=record)
 
 
-def solve(
-    problem: ProblemFamily,
-    sched: ParamSchedule,
-    cfg: SolverConfig,
-    x0,
-) -> Report:
+def solve(problem: ProblemFamily, sched: ParamSchedule, cfg: SolverConfig,
+          x0) -> Report:
     """Iterate from the anchor ``x0`` until the stop rule or budget fires.
 
-    The anchor must belong to the base set. With a reference or residual
+    The run passes ``checked_inputs`` first. With a reference or residual
     stop rule and a small tolerance, the final iterate approximates the
     projection of the anchor onto the common solution set. Exhausting
     ``max_iter`` is a normal outcome reported as reason ``"budget"``.
     """
-    start_v = checked_anchor(problem, cfg, x0)
-    issues = sched.violations(problem.kappa, problem.alpha, max(cfg.max_iter, 1))
-    if issues:
-        raise ValueError("inadmissible schedule: " + "; ".join(issues))
+    return _solve(problem, sched, cfg, checked_inputs(problem, sched, cfg, x0))
 
-    state = SolverState(
-        n=0, x=start_v, x0=start_v, nested=NestedSet(base=problem.base)
-    )
+
+def _solve(problem: ProblemFamily, sched: ParamSchedule, cfg: SolverConfig,
+           x0: np.ndarray) -> Report:
+    """``solve`` past its gate, from its own copy of an anchor that passed
+    ``checked_inputs``: the caller's array is never an iterate."""
+    x0 = x0.copy()
+    state = SolverState(n=0, x=x0, x0=x0, nested=NestedSet(base=problem.base))
     history: list[IterationRecord] = []
     reason = "budget"
     began = time.perf_counter()

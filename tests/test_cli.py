@@ -19,6 +19,8 @@ from hybridproj.cli import (
     load_config,
     main,
 )
+from hybridproj.problems import build_section4
+from hybridproj.solver import ParamSchedule, SolverConfig, solve
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -178,6 +180,26 @@ class TestRunConfig:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "invalid-config"
         assert f"'{key}'" in error["detail"]
+
+    @pytest.mark.parametrize(
+        "overrides, spelled",
+        [
+            ({"problem": dict(COR5_PROBLEM, base={
+                "kind": "box", "lo": [-1.0], "hi": [True]})}, "got [true]"),
+            ({"x0": None}, "got null"),
+            ({"problem": dict(COR5_PROBLEM, operators={"variant": "zero"})},
+             'got {"variant": "zero"}'),
+            ({"problem": dict(COR5_PROBLEM, base="box")}, 'got "box"'),
+            ({"problem": dict(COR5_PROBLEM, maps=[{"c": 1.5}])},
+             "unknown variant null"),
+        ],
+        ids=["list-of-true", "null", "object", "string", "missing-tag"],
+    )
+    def test_refused_value_is_spelled_as_json(self, tmp_path, capsys, overrides,
+                                              spelled):
+        cfg = write_config(tmp_path, small_benchmark_config(**overrides))
+        assert main(["run", "--config", cfg]) == EXIT_INVALID_CONFIG
+        assert spelled in json.loads(capsys.readouterr().err.strip())["detail"]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -424,12 +446,12 @@ class TestBench:
         # Solves alternate workers=1, workers=2 each round; the wall times
         # below give medians 3.0 and 4.0.
         walls = iter([5.0, 8.0, 1.0, 4.0, 3.0, 2.0, 2.0, 6.0, 4.0, 1.0])
-        real_solve = cli.solve
+        real_solve = cli._solve
 
         def fake_solve(*args):
             return replace(real_solve(*args), wall_time_s=next(walls))
 
-        monkeypatch.setattr(cli, "solve", fake_solve)
+        monkeypatch.setattr(cli, "_solve", fake_solve)
         assert BENCH_ROUNDS == 5
         out = tmp_path / "bench"
         cfg = write_config(tmp_path, small_benchmark_config(max_iter=5))
@@ -443,7 +465,7 @@ class TestBench:
 
     def test_every_solve_checked_for_determinism(self, tmp_path, monkeypatch, capsys):
         calls = []
-        real_solve = cli.solve
+        real_solve = cli._solve
 
         def fake_solve(*args):
             report = real_solve(*args)
@@ -452,11 +474,22 @@ class TestBench:
                 report = replace(report, final_x=report.final_x + 1e-15)
             return report
 
-        monkeypatch.setattr(cli, "solve", fake_solve)
+        monkeypatch.setattr(cli, "_solve", fake_solve)
         cfg = write_config(tmp_path, small_benchmark_config(max_iter=5))
         code = main(["bench", "--config", cfg, "--workers-list", "1,2"])
         assert code == EXIT_SOLVER_FAILURE
         assert "determinism-violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"schedule": {"beta": {"kind": "constant", "value": 0.1}}}, {"x0": [2.0]}],
+        ids=["schedule", "anchor"],
+    )
+    def test_inadmissible_run_is_invalid_config(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, small_benchmark_config(max_iter=5, **overrides))
+        code = main(["bench", "--config", cfg, "--workers-list", "1,2"])
+        assert code == EXIT_INVALID_CONFIG
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "invalid-config"
 
     def test_empty_worker_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path, small_benchmark_config(max_iter=2))
@@ -517,6 +550,26 @@ class TestInlineParts:
             }
         ]
         assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_INVALID_CONFIG
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "validate", "solve"])
+def test_one_schedule_scan_per_invocation(tmp_path, monkeypatch, capsys, command):
+    scans = []
+    violations = ParamSchedule.violations
+
+    def counted(self, *args):
+        scans.append(args)
+        return violations(self, *args)
+
+    monkeypatch.setattr(ParamSchedule, "violations", counted)
+    if command == "solve":
+        family, sched, _ = build_section4(20, 30)
+        solve(family, sched, SolverConfig(max_iter=5), [1.0])
+    else:
+        cfg = write_config(tmp_path, small_benchmark_config(max_iter=5))
+        flags = {"bench": ["--workers-list", "1,2"], "validate": ["--samples", "20"]}
+        assert main([command, "--config", cfg, *flags.get(command, [])]) == EXIT_OK
+    assert len(scans) == 1
 
 
 @pytest.mark.parametrize(

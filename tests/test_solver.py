@@ -340,7 +340,13 @@ FALSE_INFEASIBILITY = pytest.mark.xfail(
 
 class TestKnownFalseInfeasibility:
     """Known answers in R^2. With an exact projection (SLSQP) in place of
-    Dykstra, cor1 reached tol 1e-6 at iteration 44 and cor4 tol 1e-2 at 194."""
+    Dykstra, cor1 reached tol 1e-6 at iteration 44 and cor4 tol 1e-2 at 194.
+
+    The cycle heuristic cannot simply be deleted before that exact
+    projection lands: without it, plain Dykstra spends its 10,000 sweeps and
+    raises ProjectionFailure at iteration 30 (cor1) and 80 (cor4), and at
+    iteration 111 on ``ball_d8`` seeds 0 and 1 (measured on a copy of
+    ``project_nested`` without the test)."""
 
     @FALSE_INFEASIBILITY
     def test_cor1_on_a_box_reaches_the_origin(self):
@@ -451,6 +457,20 @@ class TestSolve:
         cfg = SolverConfig(stop=ToleranceToReference(reference=[0.5], tol=1e-6))
         with pytest.raises(ValueError, match="stop reference has dimension 1; "):
             solve(family, flat_schedule(), cfg, [0.6, -0.5])
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"projection_tol": math.nan}, {"projection_tol": 0.0},
+         {"projection_tol": math.inf}, {"projection_max_sweeps": 0}],
+        ids=["tol-nan", "tol-zero", "tol-inf", "sweeps-zero"],
+    )
+    def test_bad_projection_settings_refused(self, settings):
+        # Unrefused, a NaN tolerance spends the whole sweep budget, a zero
+        # one fails inside iteration 0 without its number, and zero sweeps
+        # report a last sweep that "moved inf".
+        [name] = settings
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**settings)
 
     def test_inadmissible_schedule_rejected(self):
         family, sched, _ = build_section4(3, 3)
