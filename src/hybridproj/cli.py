@@ -9,9 +9,9 @@ Every config value, at any depth, is read by ``_read``, which names its key
 in each refusal, spelling the refused value as JSON. ``run`` and ``bench``
 pass ``checked_inputs``, the gate of ``solve``, once; ``validate`` reports
 the schedule's violations instead. The subcommands raise ConfigError for a
-bad config or flag; ``main`` reports it.
-Worker-count precedence: --workers flag, then the config field, then the
-HYBRIDPROJ_WORKERS environment variable, then 1.
+bad config or flag; ``main`` reports it. Each run setting has one source:
+workers come from --workers, then the config's ``workers``, then 1; history
+from the config's ``record_history``; the output directory from --out.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, replace
 from pathlib import Path
@@ -70,7 +69,6 @@ __all__ = [
     "main",
 ]
 
-WORKERS_ENV_VAR = "HYBRIDPROJ_WORKERS"
 # Solves per worker count in ``bench``; odd, so the median is one solve.
 BENCH_ROUNDS = 5
 HISTORY_COLUMNS = (
@@ -166,21 +164,19 @@ def _read(spec: dict, key: str, convert=_number, default=MISSING):
         raise ConfigError(f"{key!r}: {err}") from err
 
 
-# How ``RunConfig.from_dict`` reads each field.
+# How ``RunConfig.from_dict`` reads each field; ``SolverConfig`` owns its ranges.
 _FIELD_READERS = {
     "problem": _object,
     "x0": lambda value: tuple(_vector(value).tolist()),
     "schedule": _or_none(_object),
     "stop": _or_none(_object),
     "max_iter": _integer,
-    # SolverConfig refuses a count below 1 too, but bench never builds one
-    # from this count.
+    # bench never builds a SolverConfig from this count.
     "workers": _or_none(lambda value: _integer(value, 1)),
-    "projection_tol": _positive,
-    "projection_max_sweeps": lambda value: _integer(value, 1),
+    "projection_tol": _number,
+    "projection_max_sweeps": _integer,
     "record_history": _flag,
     "seed": lambda value: _integer(value, 0),
-    "out": _or_none(_kind(str, "a string")),
 }
 
 
@@ -198,7 +194,6 @@ class RunConfig:
     projection_max_sweeps: int = SolverConfig.projection_max_sweeps
     record_history: bool = SolverConfig.record_history
     seed: int = 0
-    out: str | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -354,6 +349,9 @@ def _assemble(config: RunConfig, workers: int) -> BuildResult:
     reference = None
     if family.known_solution is not None:
         reference = family.known_solution.project(x0)
+        if reference.size != family.base.dim:
+            raise ConfigError(f"'known_solution' has dimension {reference.size}; "
+                              f"the base set has dimension {family.base.dim}")
 
     stop = None
     spec = config.stop or {"rule": "budget"}
@@ -401,13 +399,8 @@ def build_inputs(config: RunConfig, workers: int) -> BuildResult:
 
 
 def resolve_workers(flag: int | None, config: RunConfig) -> int:
-    if flag is not None:
-        return flag
-    if config.workers is not None:
-        return config.workers
-    if not os.environ.get(WORKERS_ENV_VAR):
-        return 1
-    return _read(os.environ, WORKERS_ENV_VAR, lambda text: _integer(int(text), 1))
+    """The --workers flag, then the config's ``workers``, then 1."""
+    return next(w for w in (flag, config.workers, 1) if w is not None)
 
 
 def _summary(report: Report, reference: np.ndarray | None) -> dict:
@@ -453,13 +446,10 @@ def _out_dir(out: str | None) -> Path | None:
     return target
 
 
-def run(config: RunConfig, *, workers: int | None = None,
-        out: str | None = None, history: bool | None = None) -> int:
+def run(config: RunConfig, *, workers: int | None = None, out: str | None = None) -> int:
     """Execute one solve and write the summary (and optional history CSV)."""
-    if history is not None:
-        config = replace(config, record_history=history)
     built = build_inputs(config, resolve_workers(workers, config))
-    target = _out_dir(out if out is not None else config.out)
+    target = _out_dir(out)
     try:
         report = _solve(built.family, built.schedule, built.solver_config, built.x0)
     except (ValueError, RuntimeError) as err:
@@ -493,7 +483,7 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     schedule_issues = built.schedule.violations(
-        family.kappa, family.alpha, max(config.max_iter, 1)
+        family.kappa, family.alpha, max(config.max_iter, 1), family.k_seq
     )
     report = verify_family(family, samples=samples, rng_seed=config.seed)
     failures = [asdict(e) for e in report.failures()]
@@ -552,12 +542,13 @@ def bench(config: RunConfig, worker_list: Sequence[int],
     worker_list = list(worker_list)
     if not worker_list:
         raise ConfigError("bench needs a nonempty worker list")
-    if any(w < 1 for w in worker_list):
-        raise ConfigError("worker counts must be positive")
 
     built = build_inputs(config, worker_list[0])
+    try:
+        configs = [replace(built.solver_config, workers=w) for w in worker_list]
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     target = _out_dir(out)
-    configs = [replace(built.solver_config, workers=w) for w in worker_list]
     runs: list[list[Report]] = [[] for _ in worker_list]
     for _ in range(BENCH_ROUNDS):
         for solver_cfg, solves in zip(configs, runs):
@@ -630,7 +621,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--history", choices=("on", "off"), default=None)
 
     p_val = sub.add_parser("validate", help="audit the configured problem")
     p_val.add_argument("--config", required=True)
@@ -645,8 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "run":
-            history = None if args.history is None else args.history == "on"
-            return run(config, workers=args.workers, out=args.out, history=history)
+            return run(config, workers=args.workers, out=args.out)
         if args.command == "validate":
             return validate(config, samples=args.samples)
         worker_list = _parse_worker_list(args.workers_list)

@@ -606,6 +606,8 @@ def _pseudocontraction_slack(
 # scale would take about 11 hours, and 256 per kind take about 4.5 s
 # (2-vCPU x86-64 host).
 AUDIT_MEMBERS_PER_KIND = 256
+# Largest negative slack an audited inequality may show: rounding, not a breach.
+AUDIT_SLACK_TOL = 1e-9
 
 
 def _audit_indices(count: int) -> range | list[int]:
@@ -624,7 +626,6 @@ def verify_family(
     problem: ProblemFamily,
     samples: int = 200,
     rng_seed: int = 0,
-    slack_tol: float = 1e-9,
 ) -> FamilyReport:
     """Audit declared member properties on random point pairs.
 
@@ -655,7 +656,7 @@ def verify_family(
             MemberCheck(
                 kind="operator",
                 index=i,
-                passed=worst >= -slack_tol,
+                passed=worst >= -AUDIT_SLACK_TOL,
                 worst_slack=worst,
                 detail=f"modulus {A.alpha:g}",
             )
@@ -671,7 +672,7 @@ def verify_family(
                 MemberCheck(
                     kind="bifunction",
                     index=i,
-                    passed=worst_mono >= -slack_tol,
+                    passed=worst_mono >= -AUDIT_SLACK_TOL,
                     worst_slack=worst_mono,
                     detail="profile monotonicity",
                 )
@@ -687,12 +688,12 @@ def verify_family(
         range_gap = max(
             float(np.linalg.norm(sx - problem.base.project(sx))) for sx in mapped
         )
-        in_range = range_gap <= max(slack_tol, 1e-12)
+        in_range = range_gap <= AUDIT_SLACK_TOL
         entries.append(
             MemberCheck(
                 kind="map",
                 index=j,
-                passed=(worst >= -slack_tol) and in_range,
+                passed=(worst >= -AUDIT_SLACK_TOL) and in_range,
                 worst_slack=worst,
                 detail=f"kappa {S.kappa:g}"
                 + ("" if in_range else f"; leaves base set by {range_gap:.3e}"),

@@ -62,7 +62,7 @@ class ParamSchedule:
     the averaging weights satisfy ``0 < alpha_n < 1``; the mapping
     relaxation satisfies ``kappa <= beta_n <= b < 1``; the resolvent steps
     satisfy ``0 < d <= r_n <= e < 2 * alpha``; the asymptotic sequence stays
-    at or above one. ``omega`` bounds the norm of every common solution.
+    at or above one and the family's. ``omega`` bounds every solution's norm.
     """
 
     alpha_fn: Callable[[int], float]
@@ -74,8 +74,10 @@ class ParamSchedule:
     d: float
     e: float
 
-    def violations(self, kappa: float, ism_alpha: float, count: int) -> list[str]:
-        """Condition violations over iterations ``0 .. count-1`` (capped)."""
+    def violations(self, kappa: float, ism_alpha: float, count: int,
+                   k_floor: Callable[[int], float] = lambda n: 1) -> list[str]:
+        """Condition violations over iterations ``0 .. count-1`` (capped);
+        ``k_floor`` is the family's ``k_n``; a smaller one can cut off a solution."""
         problems: list[str] = []
         if not 0 <= self.omega < math.inf:
             problems.append(f"omega={self.omega!r} must be nonnegative and finite")
@@ -95,7 +97,6 @@ class ParamSchedule:
              f"outside [kappa={kappa!r}, b={self.b!r}]"),
             ("r", self.r_fn, lambda v: self.d <= v <= self.e,
              f"outside [d={self.d!r}, e={self.e!r}]"),
-            ("k", self.k_fn, lambda v: v >= 1.0, "below 1"),
         )
         for name, fn, admissible, bounds in prefixes:
             for n in range(min(count, SCHEDULE_PREFIX_CAP)):
@@ -103,6 +104,12 @@ class ParamSchedule:
                 if not admissible(value):
                     problems.append(f"{name}_{n}={value!r} {bounds}")
                     break
+        for n in range(min(count, SCHEDULE_PREFIX_CAP)):
+            value = self.k_fn(n)
+            floor = value if k_floor is self.k_fn else k_floor(n)  # each sequence once
+            if not (value >= 1 and value >= floor):
+                problems.append(f"k_{n}={value!r} below {max(1, floor)!r}")
+                break
         return problems
 
 
@@ -143,14 +150,15 @@ class SolverConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
-        if not 0 < self.projection_tol < math.inf:
-            raise ValueError("projection_tol must be positive and finite")
-        if self.projection_max_sweeps < 1:
-            raise ValueError("projection_max_sweeps must be at least 1")
+        # The only home of these ranges; a refusal names its field.
+        for key, holds, rule in (
+            ("max_iter", self.max_iter >= 0, "at least 0"),
+            ("workers", self.workers >= 1, "at least 1"),
+            ("projection_tol", 0 < self.projection_tol < math.inf, "positive, finite"),
+            ("projection_max_sweeps", self.projection_max_sweeps >= 1, "at least 1"),
+        ):
+            if not holds:
+                raise ValueError(f"{key!r}: must be {rule}, got {getattr(self, key)!r}")
 
     @property
     def needs_map_residual(self) -> bool:
@@ -179,9 +187,10 @@ def checked_inputs(problem: ProblemFamily, sched: ParamSchedule,
     """The gate of a run: ``checked_anchor``, then the schedule's admissibility
     over the run's budget (the only scan of a ``solve``)."""
     start_v = checked_anchor(problem, cfg, x0)
-    issues = sched.violations(problem.kappa, problem.alpha, max(cfg.max_iter, 1))
-    if issues:
-        raise ValueError("inadmissible schedule: " + "; ".join(issues))
+    violations = sched.violations(problem.kappa, problem.alpha, max(cfg.max_iter, 1),
+                                  problem.k_seq)
+    if violations:
+        raise ValueError("inadmissible schedule: " + "; ".join(violations))
     return start_v
 
 

@@ -218,6 +218,30 @@ class TestRunConfig:
         assert error["error"] == "invalid-config"
         assert "dimension 2" in error["detail"]
 
+    @pytest.mark.parametrize(
+        "solution",
+        [{"kind": "interval", "lo": -0.5, "hi": 0.5},
+         {"kind": "point", "value": [0.1, 0.2, 0.3]}],
+        ids=["interval", "point-3d"],
+    )
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_known_solution_of_wrong_dimension_is_invalid_config(
+            self, tmp_path, capsys, monkeypatch, command, solution):
+        monkeypatch.setattr(cli, "_solve", None)  # refused before any solve
+        data = ball_vi_config()
+        data["problem"] = dict(
+            data["problem"], known_solution=solution,
+            base={"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+        )
+        data.update(x0=[0.9, 0.9], stop={"rule": "budget"})
+        assert main([command, "--config", write_config(tmp_path, data)]) == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.strip())
+        assert error["error"] == "invalid-config"
+        assert "'known_solution'" in error["detail"]
+        assert "the base set has dimension 2" in error["detail"]
+
     def test_anchor_outside_base_is_invalid_config(self, tmp_path, capsys):
         data = dict(ball_vi_config(), x0=[0.9, 0.9])
         assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_INVALID_CONFIG
@@ -248,6 +272,32 @@ def test_bad_flag_is_invalid_config(tmp_path, capsys, argv):
     [line] = captured.err.strip().splitlines()
     assert json.loads(line)["error"] == "invalid-config"
     assert existing.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, setting",
+    [
+        (["run", "--workers", "0"], {}, "workers"),
+        (["bench", "--workers-list", "0,1"], {}, "workers"),
+        (["bench", "--workers-list", "1,0"], {}, "workers"),
+        (["run"], {"max_iter": -1}, "max_iter"),
+        (["run"], {"projection_tol": 0}, "projection_tol"),
+        (["run"], {"projection_max_sweeps": 0}, "projection_max_sweeps"),
+    ],
+    ids=["run-workers-0", "bench-workers-0-first", "bench-workers-0-later",
+         "max_iter-negative", "projection_tol-zero", "projection_max_sweeps-zero"],
+)
+def test_solver_config_refusal_names_its_setting(tmp_path, capsys, monkeypatch,
+                                                  argv, overrides, setting):
+    monkeypatch.setattr(cli, "_solve", None)  # refused before any solve
+    cfg = write_config(tmp_path, small_benchmark_config(**{"max_iter": 2, **overrides}))
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_INVALID_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "invalid-config"
+    assert f"'{setting}'" in error["detail"]
 
 
 class TestRun:
@@ -292,15 +342,16 @@ class TestRun:
                 value = float(row[column])
                 assert float("%.17g" % value) == value
 
-    def test_history_flag_off(self, tmp_path, capsys):
+    def test_record_history_false_writes_no_csv(self, tmp_path, capsys):
         out = tmp_path / "nohist"
         code = main([
             "run",
-            "--config", write_config(tmp_path, small_benchmark_config()),
+            "--config",
+            write_config(tmp_path, small_benchmark_config(record_history=False)),
             "--out", str(out),
-            "--history", "off",
         ])
         assert code == EXIT_OK
+        assert (out / "summary.json").exists()
         assert not (out / "history.csv").exists()
 
     def test_affine_vi_reaches_solution(self, tmp_path, capsys):
@@ -356,19 +407,18 @@ class TestRun:
         diagnostic = json.loads(capsys.readouterr().err.strip())
         assert diagnostic["error"] == "solver-failure"
 
-    def test_workers_flag_beats_config_and_env(self, tmp_path, capsys, monkeypatch):
+    def test_workers_flag_beats_config(self, tmp_path, capsys, monkeypatch):
+        # The environment is no source of the worker count.
         monkeypatch.setenv("HYBRIDPROJ_WORKERS", "3")
-        cfg = write_config(tmp_path, small_benchmark_config(max_iter=3))
-        assert main(["run", "--config", cfg]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out.strip())["workers"] == 3
-        assert main(["run", "--config", cfg, "--workers", "2"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out.strip())["workers"] == 2
-
-    def test_bad_env_worker_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYBRIDPROJ_WORKERS", "many")
-        cfg = write_config(tmp_path, small_benchmark_config(max_iter=1))
-        assert main(["run", "--config", cfg]) == EXIT_INVALID_CONFIG
-
+        default = write_config(tmp_path, small_benchmark_config(max_iter=3), "a.json")
+        two = write_config(tmp_path, small_benchmark_config(max_iter=3, workers=2))
+        for argv, workers in (
+            (["--config", default], 1),
+            (["--config", two], 2),
+            (["--config", two, "--workers", "3"], 3),
+        ):
+            assert main(["run", *argv]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out.strip())["workers"] == workers
 
 class TestValidate:
     def test_benchmark_passes(self, tmp_path, capsys):

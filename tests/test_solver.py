@@ -139,6 +139,23 @@ class TestScheduleValidation:
         sched = flat_schedule(omega=math.inf)
         assert any("omega" in s for s in sched.violations(0.0, math.inf, 5))
 
+    def test_k_below_the_family_sequence_refused(self):
+        # cor4 squares the map's k_n = 1.2^n. With k_n = 1 instead, the cut of
+        # iteration 1 excludes the solution 0 and iteration 2 finds no point.
+        family, _, sched = preset(
+            "cor4", base=BASE, bifunctions=[ZeroBifunction()],
+            maps=[PseudoContraction(map=lambda v: np.clip(-1.2 * v, -1.0, 1.0),
+                                    kappa=0.0, k_seq=lambda n: 1.2 ** n if n else 1.0)],
+        )
+        cfg = SolverConfig(max_iter=4)
+        assert solve(family, sched, cfg, [0.9]).iterations == 4
+        low = replace(sched, k_fn=lambda n: 1.0)
+        assert low.violations(family.kappa, family.alpha, 4) == []
+        [violation] = low.violations(family.kappa, family.alpha, 4, family.k_seq)
+        assert violation.startswith("k_1=1.0 below")
+        with pytest.raises(ValueError, match="inadmissible schedule: k_1=1.0"):
+            solve(family, low, cfg, [0.9])
+
 
 class TestIterate:
     def test_halfway_projection(self):
