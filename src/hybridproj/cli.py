@@ -609,8 +609,15 @@ def _parse_worker_list(text: str) -> list[int]:
         raise ConfigError(f"bad worker list {text!r}") from err
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose errors are config errors: one JSON line, exit 1."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hybridproj",
         description="Parallel hybrid-projection solver for common solutions "
         "of equilibrium and fixed-point problems.",
@@ -631,8 +638,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_bench.add_argument("--workers-list", required=True)
     p_bench.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         config = load_config(args.config)
         if args.command == "run":
             return run(config, workers=args.workers, out=args.out)

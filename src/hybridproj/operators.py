@@ -197,6 +197,10 @@ def identity_map() -> PseudoContraction:
 # mapping), and the kernel is called only for members below k.
 GepKernel = Callable[[int, int, float, np.ndarray], np.ndarray]
 MapKernel = Callable[[int, int, int, np.ndarray], np.ndarray]
+# Block bound hooks: (lo, hi, r, x) and (lo, hi, power, point, reference),
+# with lo and hi the block start and stop arrays; see ProblemFamily.
+GepBound = Callable[[np.ndarray, np.ndarray, float, np.ndarray], np.ndarray]
+MapBound = Callable[[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,17 @@ class ProblemFamily:
     all of these from member objects; builders of very large families pass
     exact analytic values and closed-form kernels instead, so that members
     never need to be materialized.
+
+    The optional hooks ``gep_bound(lo, hi, r, x)`` and
+    ``map_bound(lo, hi, power, point, reference)`` take the start and stop
+    arrays of the blocks of a moved prefix and return one float per block:
+    an upper bound on the *float* squared distance, as the reduction
+    computes it from the kernel's rows, of every row of the block to the
+    phase's reference point (``x`` for the resolvent phase). A bound that
+    falls one rounding short can drop the winner, so a bound must cover the
+    kernel's rounding. The reduction skips a block whose bound is strictly
+    below the best distance found; a family without hooks has every block
+    evaluated.
     """
 
     base: BaseSet
@@ -224,6 +239,8 @@ class ProblemFamily:
     known_solution: Any = None
     gep_moved: Callable[[float, np.ndarray], int] | None = None
     map_moved: Callable[[int, np.ndarray], int] | None = None
+    gep_bound: GepBound | None = None
+    map_bound: MapBound | None = None
 
     def __post_init__(self):
         if len(self.geps) == 0 and len(self.maps) == 0:

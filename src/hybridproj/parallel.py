@@ -3,32 +3,49 @@
 Each solver phase evaluates a family of candidate points and selects the one
 furthest from a reference point. Only the moved prefix of the family is
 evaluated: every member past it leaves the evaluation point unchanged, so
-that point stands for all of them as one candidate at the prefix's end. The
-prefix is walked in blocks of at most ``TARGET_CHUNK_ROWS`` rows; with a
-worker pool it is first split into one contiguous share per worker, but
-into no more shares than it has blocks. Every
-candidate value and distance is computed elementwise, so it does not depend
-on the block layout. The reduction walks blocks in index order and keeps a
-strictly greater maximum, which reproduces a global first-occurrence argmax.
-Results are therefore identical for any worker count, including 1.
+that point stands for all of them as one candidate at the prefix's end.
+
+The prefix lies on one global grid of blocks, ``[b*R, min((b+1)*R, moved))``
+with ``R = TARGET_CHUNK_ROWS``, whatever the worker count. A family may
+bound its blocks: for each one, an upper bound on the float squared
+distance of its rows to the reference point. Blocks are visited in
+descending bound order, index order among equal bounds, and the walk stops
+at the first block whose bound is strictly below the best distance found:
+none of its rows can beat or tie that best. A family without bounds gets
+infinite ones, so every block is visited in index order; a prefix of one
+block computes no bounds. The highest-bound block runs on the calling
+thread, alone unless its bound is infinite. With a pool the blocks that
+survive pruning then go out ``workers`` at a time, one on the calling
+thread, and each round's merged best prunes the next.
+
+A row replaces the best only at a strictly greater distance, or at an equal
+one and a smaller index, so the winner is the global first-index argmax for
+any visiting order. Every candidate value and distance is computed
+elementwise, so it does not depend on the block it falls in. Results are
+therefore identical for any worker count, including 1.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Furthest", "chunk_ranges", "furthest_candidate", "squared_distances"]
+__all__ = ["Furthest", "furthest_candidate", "squared_distances"]
 
 # Batch evaluator contract: evaluate(lo, hi) returns the candidate points for
 # members lo..hi-1 as an array of shape (hi - lo, d). It is called only for
 # members of the moved prefix. The returned array is owned by the caller and
 # may be mutated.
 ChunkEvaluator = Callable[[int, int], np.ndarray]
+
+# Block bound contract: bound(lo, hi) takes the start and stop arrays of the
+# prefix's blocks and returns, per block, an upper bound on the float
+# squared distance of any of its rows to the reference point.
+BlockBound = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Cap on rows per block. A float64 temporary of 32,768 rows is 256 KiB, so a
 # block's temporaries stay in a 2 MiB L2 cache. A 700k-member section4
@@ -46,19 +63,17 @@ class Furthest:
     index: int
     point: np.ndarray
     dist2: float
+    # Blocks of the moved prefix evaluated to find it.
+    blocks: int = 0
 
     @property
     def distance(self) -> float:
         return float(np.sqrt(self.dist2))
 
-
-def chunk_ranges(count: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``range(count)`` into at most ``parts`` contiguous chunks."""
-    if count <= 0:
-        return []
-    parts = max(1, min(parts, count))
-    bounds = np.linspace(0, count, parts + 1, dtype=np.int64)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    def beats(self, other: Furthest | None) -> bool:
+        """The winner rule: strictly further, or as far at a smaller index."""
+        return (other is None or self.dist2 > other.dist2
+                or (self.dist2 == other.dist2 and self.index < other.index))
 
 
 def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,24 +88,34 @@ def squared_distances(points: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _chunk_best(evaluate: ChunkEvaluator, lo: int, hi: int, x: np.ndarray) -> Furthest:
-    best = None
-    for start in range(lo, hi, TARGET_CHUNK_ROWS):
-        stop = min(start + TARGET_CHUNK_ROWS, hi)
-        points = np.asarray(evaluate(start, stop), dtype=np.float64)
-        if points.shape != (stop - start, x.size):
-            raise ValueError(f"evaluator returned shape {points.shape}, "
-                             f"expected {(stop - start, x.size)}")
-        dist2 = squared_distances(points, x)
-        i = int(np.argmax(dist2))
-        d2 = float(dist2[i])
-        # argmax returns the first NaN, so one check at the winner catches
-        # a non-finite candidate anywhere in the block.
-        if not math.isfinite(d2):
-            raise ValueError(f"member {start + i} gave a candidate at non-finite "
-                             f"squared distance {d2}")
-        if best is None or d2 > best.dist2:
-            best = Furthest(index=start + i, point=np.array(points[i]), dist2=d2)
-    return best
+    """The first-index furthest row of the block ``lo..hi-1``."""
+    points = np.asarray(evaluate(lo, hi), dtype=np.float64)
+    if points.shape != (hi - lo, x.size):
+        raise ValueError(f"evaluator returned shape {points.shape}, "
+                         f"expected {(hi - lo, x.size)}")
+    dist2 = squared_distances(points, x)
+    i = int(np.argmax(dist2))
+    d2 = float(dist2[i])
+    # argmax returns the first NaN, so one check at the winner catches a
+    # non-finite candidate anywhere in the block.
+    if not math.isfinite(d2):
+        raise ValueError(f"member {lo + i} gave a candidate at non-finite "
+                         f"squared distance {d2}")
+    return Furthest(index=lo + i, point=np.array(points[i]), dist2=d2)
+
+
+def _block_bounds(bound: BlockBound, starts: np.ndarray, stops: np.ndarray) -> list[float]:
+    bounds = np.asarray(bound(starts, stops), dtype=np.float64)
+    if bounds.shape != starts.shape:
+        raise ValueError(f"block bound returned shape {bounds.shape}, "
+                         f"expected {starts.shape}")
+    nan = np.flatnonzero(np.isnan(bounds))
+    if nan.size:
+        # A NaN sorts last and compares false: it would skip its block silently.
+        b = int(nan[0])
+        raise ValueError(f"block {b} (members {starts[b]}..{stops[b] - 1}) "
+                         f"has a NaN bound")
+    return bounds.tolist()
 
 
 def furthest_candidate(
@@ -101,17 +126,17 @@ def furthest_candidate(
     pool: ThreadPoolExecutor | None = None,
     workers: int = 1,
     moved: int | None = None,
+    bound: BlockBound | None = None,
 ) -> Furthest:
     """Return the furthest from ``x`` of ``count`` candidates.
 
-    Only members ``0..moved-1`` are evaluated (all ``count`` by default).
-    Each member from ``moved`` on counts as the candidate ``fixed``, the
-    point the members are applied to; it is scored once, at index ``moved``.
-    Ties break toward the smallest index. With a pool the prefix runs as
-    one contiguous share per worker, but no more shares than blocks, the
-    first on the calling thread; the reduction order stays fixed either way.
+    Only members ``0..moved-1`` are evaluated (all ``count`` by default),
+    block by block, and only the blocks whose ``bound`` can reach the best
+    found (every block without one). Each member from ``moved`` on counts as
+    the candidate ``fixed``, the point the members are applied to; it is
+    scored once, at index ``moved``. Ties break toward the smallest index.
     A candidate at a non-finite distance from ``x`` raises ``ValueError``
-    naming its member.
+    naming its member, and a NaN bound one naming its block.
     """
     if count <= 0:
         raise ValueError("candidate family must be nonempty")
@@ -124,24 +149,40 @@ def furthest_candidate(
         fixed = np.asarray(fixed, dtype=np.float64)
         if fixed.shape != x.shape:
             raise ValueError(f"fixed point has shape {fixed.shape}, expected {x.shape}")
-    # No more shares than blocks: a one-block prefix never touches the pool,
-    # and a large worker count does not submit shares smaller than a block.
-    parts = 1 if pool is None else min(workers, math.ceil(moved / TARGET_CHUNK_ROWS))
-    shares = chunk_ranges(moved, parts)
-    futures = [pool.submit(_chunk_best, evaluate, *share, x) for share in shares[1:]]
-    try:
-        results = [_chunk_best(evaluate, *share, x) for share in shares[:1]]
-    finally:
-        # No share outlives the call, even when the first one raises.
-        wait(futures)
-    results += [f.result() for f in futures]
+    starts = np.arange(0, moved, TARGET_CHUNK_ROWS)
+    stops = np.minimum(starts + TARGET_CHUNK_ROWS, moved)
+    if bound is None or len(starts) < 2:
+        bounds = [math.inf] * len(starts)
+    else:
+        bounds = _block_bounds(bound, starts, stops)
+    # Descending bounds; the sort is stable, so equal bounds keep index order.
+    order = sorted(range(len(bounds)), key=lambda b: -bounds[b])
+    spans = list(zip(starts.tolist(), stops.tolist()))
+    width = 1 if pool is None else workers
+    best = None
+    done = 0
+    while done < len(order) and (best is None or bounds[order[done]] >= best.dist2):
+        # A block joins the round only if the best so far cannot prune it;
+        # before the first block, only an infinite bound is sure of that.
+        floor = math.inf if best is None else best.dist2
+        batch = order[done:done + 1] + [b for b in order[done + 1:done + width]
+                                        if bounds[b] >= floor]
+        futures = [pool.submit(_chunk_best, evaluate, *spans[b], x) for b in batch[1:]]
+        try:
+            found = [_chunk_best(evaluate, *spans[batch[0]], x)]
+        finally:
+            # No block outlives the call, even when the calling thread's raises.
+            wait(futures)
+        found += [f.result() for f in futures]
+        for candidate in found:
+            if candidate.beats(best):
+                best = candidate
+        done += len(batch)
     if moved < count:
         # Every left-out member's candidate is ``fixed``: its first index is
-        # ``moved``, and it must beat the prefix strictly to keep ties earlier.
+        # ``moved``, past the prefix, so it wins only when strictly further.
         tail2 = float(squared_distances(fixed[np.newaxis], x)[0])
-        results.append(Furthest(index=moved, point=np.array(fixed), dist2=tail2))
-    best = results[0]
-    for candidate in results[1:]:
-        if candidate.dist2 > best.dist2:
-            best = candidate
-    return best
+        tail = Furthest(index=moved, point=np.array(fixed), dist2=tail2)
+        if tail.beats(best):
+            best = tail
+    return replace(best, blocks=done)

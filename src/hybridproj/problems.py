@@ -203,6 +203,16 @@ class Section4Spec:
         return float(self.thresholds[0])
 
 
+# Error of np.arctan assumed by the resolvent block bound, in ulps of the
+# exact value. It is an assumption, not a proof: numpy's SIMD and scalar
+# loops were measured within 1 ulp of math.atan on [0, 2] (numpy 2.4,
+# x86-64 with AVX-512), and tests/test_problems.py checks that they stay
+# within ARCTAN_ULPS - 1 of it, math.atan being within 1 ulp of exact.
+ARCTAN_ULPS = 4
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def _section4_kernels(spec: Section4Spec):
     thresholds = spec.thresholds
 
@@ -214,6 +224,41 @@ def _section4_kernels(spec: Section4Spec):
         np.arctan(moved, out=moved)
         moved += xi
         return moved.reshape(-1, 1)
+
+    def gep_bound(lo: np.ndarray, hi: np.ndarray, r: float, x: np.ndarray) -> np.ndarray:
+        # Row i of a moved block is y_i = arctan(u_i) + xi_i with
+        # u_i = x - xi_i in [0, 2], and in exact arithmetic
+        # |y_i - x| = g(u_i) = u_i - arctan(u_i), which falls as i grows
+        # (ascending thresholds). In floats, with eps = 2^-52 and an ulp of v
+        # at most eps*|v|, the reduction's |t_i| = |fl(y_i) - x| is off
+        # g(u_i) by at most
+        #   eps/2 * u_i              rounding x - xi (arctan' <= 1),
+        #   K * eps * arctan(u_i)    arctan, K = ARCTAN_ULPS,
+        #   eps/2 * |y_i|            the += xi,
+        #   eps/2 * |t_i|            the subtraction of x,
+        # and u, arctan(u), |y|, |t| are all at most |x| + 1, so by
+        # delta = (K + 2) * eps * (|x| + 1), with half an eps of slack for
+        # second-order terms. Then every row of the block has
+        # |t_i| <= g(u_i) + delta <= g(u_lo) + delta <= |t_lo| + 2 delta.
+        # Squaring, the square root of the end row's float d2 and the
+        # bound's own arithmetic round by under 4 eps relative in all; the
+        # factor 1 + 8 eps covers them. The margin must be absolute: near
+        # convergence g(u) ~ u^3 / 3 lies below one ulp of x, where the rows
+        # are rounding noise and no relative margin on them holds.
+        if r != 1.0:
+            raise ValueError("closed-form benchmark kernel requires unit step r=1")
+        point = float(x[0])
+        xi = thresholds[np.stack((lo, hi - 1))]
+        ends = point - xi
+        np.arctan(ends, out=ends)
+        ends += xi
+        ends -= point
+        np.square(ends, out=ends)
+        reach = np.sqrt(ends.max(axis=0))
+        reach += 2.0 * (ARCTAN_ULPS + 2) * _EPS * (abs(point) + 1.0)
+        np.square(reach, out=reach)
+        reach *= 1.0 + 8.0 * _EPS
+        return reach
 
     def gep_moved(r: float, x: np.ndarray) -> int:
         # Thresholds ascend, so the members that fix the point (xi > point)
@@ -232,7 +277,24 @@ def _section4_kernels(spec: Section4Spec):
         # Every member fixes a negative point.
         return 0 if float(v[0]) < 0.0 else spec.n_maps
 
-    return gep_kernel, gep_moved, map_kernel, map_moved
+    def map_bound(lo: np.ndarray, hi: np.ndarray, power: int, v: np.ndarray,
+                  reference: np.ndarray) -> np.ndarray:
+        # Exact: each step of the kernel is monotone in j (c_j falls, -p*p
+        # is not positive, and IEEE rounding is monotone), so the rows and
+        # their differences to the reference are monotone, and a block's
+        # largest squared distance sits at one of its end rows. The end rows
+        # are computed with the kernel's own ufuncs, so they are its bits.
+        point = float(v[0])
+        s = np.stack((lo, hi - 1)) + 1.0
+        s /= spec.n_maps + 1
+        np.subtract(2.0, s, out=s)
+        s *= -point * point
+        s += point
+        s -= float(reference[0])
+        np.square(s, out=s)
+        return s.max(axis=0)
+
+    return gep_kernel, gep_moved, gep_bound, map_kernel, map_moved, map_bound
 
 
 def build_section4(n_geps: int, n_maps: int):
@@ -247,7 +309,8 @@ def build_section4(n_geps: int, n_maps: int):
     spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
     thresholds = spec.thresholds
     base = Box(lo=[-1.0], hi=[1.0])
-    gep_kernel, gep_moved, map_kernel, map_moved = _section4_kernels(spec)
+    gep_kernel, gep_moved, gep_bound, map_kernel, map_moved, map_bound = (
+        _section4_kernels(spec))
 
     def gep_member(i: int):
         return (section4_bifunction(float(thresholds[i])), zero_operator())
@@ -267,6 +330,8 @@ def build_section4(n_geps: int, n_maps: int):
         known_solution=IntervalSolution(lo=-1.0, hi=spec.reference),
         gep_moved=gep_moved,
         map_moved=map_moved,
+        gep_bound=gep_bound,
+        map_bound=map_bound,
     )
     schedule = ParamSchedule(
         alpha_fn=lambda n: 1.0 / (n + 2),

@@ -205,6 +205,9 @@ class IterationRecord:
     z_far: np.ndarray
     i_far: int
     j_far: int
+    # Blocks each phase evaluated (0 when it had no moved member).
+    blocks_y: int
+    blocks_z: int
     eps: float
     res_y: float
     res_z: float
@@ -257,9 +260,11 @@ def resolvent_phase(problem: ProblemFamily, r: float, x: np.ndarray,
     pairs, ``x`` itself at index -1."""
     if not problem.n_geps:
         return Furthest(-1, x, 0.0)
+    hook = problem.gep_bound
     return furthest_candidate(gep_chunk_evaluator(problem, r, x), problem.n_geps, x,
                               fixed=x, pool=pool, workers=workers,
-                              moved=problem.gep_moved(r, x))
+                              moved=problem.gep_moved(r, x),
+                              bound=hook and (lambda lo, hi: hook(lo, hi, r, x)))
 
 
 def mapping_phase(problem: ProblemFamily, n: int, y: np.ndarray, reference: np.ndarray,
@@ -269,9 +274,11 @@ def mapping_phase(problem: ProblemFamily, n: int, y: np.ndarray, reference: np.n
     mappings, ``y`` itself at index -1."""
     if not problem.n_maps:
         return Furthest(-1, y, float(squared_distances(y[np.newaxis], reference)[0]))
+    hook = problem.map_bound
     return furthest_candidate(map_chunk_evaluator(problem, n, y), problem.n_maps,
                               reference, fixed=y, pool=pool, workers=workers,
-                              moved=problem.map_moved(n, y))
+                              moved=problem.map_moved(n, y),
+                              bound=hook and (lambda lo, hi: hook(lo, hi, n, y, reference)))
 
 
 def iterate(
@@ -307,11 +314,11 @@ def iterate(
         c = (x - mix) / scale
         s_sel = mapping_phase(problem, n, y_far, c, pool, cfg.workers)
         z_far = s_sel.point * scale + mix
-        j_far = s_sel.index
+        j_far, blocks_z = s_sel.index, s_sel.blocks
         res_z = math.sqrt(squared_distances(z_far[np.newaxis], x)[0])
     else:
         z_far = alpha_n * x + (1.0 - alpha_n) * y_far
-        j_far = -1
+        j_far, blocks_z = -1, 0
         res_z = float(np.linalg.norm(z_far - x))
     t2 = time.perf_counter()
 
@@ -347,6 +354,8 @@ def iterate(
         z_far=z_far,
         i_far=i_far,
         j_far=j_far,
+        blocks_y=y_sel.blocks,
+        blocks_z=blocks_z,
         eps=eps,
         res_y=res_y,
         res_z=res_z,

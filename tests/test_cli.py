@@ -275,6 +275,33 @@ def test_bad_flag_is_invalid_config(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{cfg}", "--history", "on"],
+        ["run", "--config", "{cfg}", "--workers", "abc"],
+        ["run", "--workers", "2"],
+    ],
+    ids=["unknown-flag", "non-integer-workers", "missing-config"],
+)
+def test_parse_error_is_invalid_config(tmp_path, capsys, argv):
+    # argparse's own errors get the one JSON line and exit 1, not a usage
+    # text and exit 2 (the solver-failure code).
+    cfg = write_config(tmp_path, small_benchmark_config(max_iter=2))
+    assert main([arg.format(cfg=cfg) for arg in argv]) == EXIT_INVALID_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-config"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "--help"])
+    assert stop.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "argv, overrides, setting",
     [
         (["run", "--workers", "0"], {}, "workers"),

@@ -1,3 +1,4 @@
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -7,24 +8,14 @@ import pytest
 from hybridproj.parallel import (
     TARGET_CHUNK_ROWS,
     _chunk_best,
-    chunk_ranges,
     furthest_candidate,
 )
 from oracles import full_chunk, select_furthest
 
 
-def test_chunk_ranges_cover_everything():
-    for count in (1, 2, 7, 100, 1000):
-        for parts in (1, 2, 3, 8, 200):
-            ranges = chunk_ranges(count, parts)
-            assert ranges[0][0] == 0 and ranges[-1][1] == count
-            for (_, a), (b, _) in zip(ranges, ranges[1:]):
-                assert a == b
-            assert all(hi > lo for lo, hi in ranges)
-
-
-def test_chunk_ranges_empty():
-    assert chunk_ranges(0, 4) == []
+def grid(moved, rows):
+    """The global block grid of a moved prefix: ``rows`` rows a block."""
+    return [(lo, min(lo + rows, moved)) for lo in range(0, moved, rows)]
 
 
 def test_matches_sequential_selection(monkeypatch):
@@ -110,18 +101,21 @@ def test_single_chunk_family_stays_on_calling_thread(count):
 
 
 def test_large_family_splits_across_workers():
-    # One contiguous share per worker; each share walks blocks of at most
-    # TARGET_CHUNK_ROWS rows, so both shares here are single blocks.
+    # Without bounds, the two blocks of the global grid form one round: the
+    # first on the calling thread, the second on a pool thread.
     count = TARGET_CHUNK_ROWS + 1
-    calls = []
+    calls, threads = [], set()
 
     def evaluate(lo, hi):
         calls.append((lo, hi))
+        threads.add(threading.get_ident())
         return np.zeros((hi - lo, 1))
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        furthest_candidate(evaluate, count, np.zeros(1), pool=pool, workers=2)
-    assert sorted(calls) == chunk_ranges(count, 2)
+        got = furthest_candidate(evaluate, count, np.zeros(1), pool=pool, workers=2)
+    assert sorted(calls) == grid(count, TARGET_CHUNK_ROWS)
+    assert len(threads) == 2
+    assert got.blocks == 2
 
 
 def test_shares_split_only_the_moved_prefix(monkeypatch):
@@ -136,9 +130,9 @@ def test_shares_split_only_the_moved_prefix(monkeypatch):
     with ThreadPoolExecutor(max_workers=2) as pool:
         furthest_candidate(evaluate, count, np.zeros(1), fixed=np.zeros(1),
                            pool=pool, workers=2, moved=moved)
-    # Shares [0, 225) and [225, 450), each walked in blocks of 100 rows.
-    assert sorted(calls) == [(0, 100), (100, 200), (200, 225),
-                             (225, 325), (325, 425), (425, 450)]
+    # The grid over [0, 450) only, each block evaluated once.
+    assert sorted(calls) == [(0, 100), (100, 200), (200, 300),
+                             (300, 400), (400, 450)]
 
 
 def moved_evaluator(points, calls=None):
@@ -166,15 +160,15 @@ class CountingPool:
 
 
 def test_no_more_shares_than_blocks(monkeypatch):
-    # A 3-block prefix under 64 workers makes 3 shares, not 64.
+    # A 3-block prefix under 64 workers makes 2 submissions, not 64.
     monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 100)
     points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(250, 2))
     calls = []
     pool = CountingPool()
     got = furthest_candidate(moved_evaluator(points, calls), 250, np.zeros(2),
                              pool=pool, workers=64)
-    assert pool.submitted == 2  # the first share runs on the calling thread
-    assert sorted(calls) == chunk_ranges(250, 3)
+    assert pool.submitted == 2  # the first block runs on the calling thread
+    assert sorted(calls) == grid(250, 100)
     serial = furthest_candidate(moved_evaluator(points), 250, np.zeros(2))
     assert (got.index, got.dist2) == (serial.index, serial.dist2)
     np.testing.assert_array_equal(got.point, serial.point)
@@ -349,7 +343,7 @@ def test_no_share_outlives_a_failing_first_share(monkeypatch):
     done = []
 
     def evaluate(lo, hi):
-        if lo >= 250:
+        if lo > 0:
             time.sleep(0.01)
             done.append(lo)
         return points[lo:hi].copy()
@@ -357,6 +351,74 @@ def test_no_share_outlives_a_failing_first_share(monkeypatch):
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(ValueError, match="member 3 "):
             furthest_candidate(evaluate, 500, np.ones(1), pool=pool, workers=2)
-        # Shares [0, 250) and [250, 500); the second walks four blocks.
-        assert sorted(done) == [250, 314, 378, 442]
+        # The first round is blocks 0 (calling thread) and 1 (pool): block 1
+        # finishes before the error leaves, and no later round starts.
+        assert done == [64]
 
+
+
+def block_maxima(points, x):
+    """A block bound that is each block's exact largest squared distance."""
+    d2 = ((points - x) ** 2).sum(axis=1)
+    return lambda lo, hi: np.array([d2[a:b].max() for a, b in zip(lo, hi)])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_bounds_prune_without_changing_the_winner(monkeypatch, workers):
+    # Rows fall with the index except two equal peaks, in blocks 1 and 3.
+    # Block 3's bound is loose, so it is visited first; block 1 still holds
+    # the first index of the maximum, and its exact bound ties the best.
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+    points = np.linspace(1.0, 0.0, 400).reshape(-1, 1)
+    points[[100, 220]] = 5.0
+    x = np.zeros(1)
+    exact = block_maxima(points, x)
+
+    def bound(lo, hi):
+        b = exact(lo, hi)
+        b[3] += 1.0
+        return b
+
+    calls = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        got = furthest_candidate(moved_evaluator(points, calls), 400, x, pool=pool,
+                                 workers=workers, bound=bound)
+    full = furthest_candidate(moved_evaluator(points), 400, x)
+    assert (got.index, got.dist2) == (full.index, full.dist2) == (100, 25.0)
+    np.testing.assert_array_equal(got.point, full.point)
+    assert full.blocks == 7
+    assert got.blocks == len(calls) == 2
+    assert sorted(calls) == [(64, 128), (192, 256)]
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_nan_bound_names_its_block(monkeypatch, at):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+    points = np.zeros((300, 1))
+    bounds = np.arange(5.0)
+    bounds[at] = np.nan
+    with pytest.raises(ValueError, match=f"block {at} .*NaN bound"):
+        furthest_candidate(moved_evaluator(points), 300, np.zeros(1),
+                           bound=lambda lo, hi: bounds)
+
+
+def test_bound_of_the_wrong_shape_rejected(monkeypatch):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+    with pytest.raises(ValueError, match="block bound returned shape"):
+        furthest_candidate(moved_evaluator(np.zeros((300, 1))), 300, np.zeros(1),
+                           bound=lambda lo, hi: np.zeros(2))
+
+
+@pytest.mark.parametrize("moved", [0, 1, 64])
+def test_one_block_prefix_computes_no_bound(monkeypatch, moved):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+    calls = []
+
+    def bound(lo, hi):
+        calls.append((lo, hi))
+        return np.full(len(lo), np.inf)
+
+    got = furthest_candidate(moved_evaluator(np.ones((moved, 1))), 100, np.zeros(1),
+                             fixed=np.zeros(1), moved=moved, bound=bound)
+    assert calls == []
+    assert got.blocks == (1 if moved else 0)

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from hybridproj import problems
 from hybridproj.geometry import Box, CustomSet
 from hybridproj.operators import (
     ProblemFamily,
@@ -26,7 +29,8 @@ from hybridproj.problems import (
     section4_bifunction,
     section4_map,
 )
-from hybridproj.solver import solve
+from hybridproj.parallel import TARGET_CHUNK_ROWS
+from hybridproj.solver import mapping_phase, resolvent_phase, solve
 from oracles import (
     full_chunk,
     section4_coefficients,
@@ -515,3 +519,162 @@ class TestDefaultSchedule:
         )
         assert sched.r_fn(0) == pytest.approx(0.5)
         assert sched.violations(family.kappa, family.alpha, 50) == []
+
+
+@dataclass(frozen=True)
+class SeededSpec(Section4Spec):
+    """Section4 sizes with seeded, strictly ascending thresholds.
+
+    The lowest 30% form a run one ulp apart from a small start in
+    (1e-4, 1e-2), where an ulp of a threshold is far below an ulp of
+    ``u = x - xi``; the rest are uniform draws above the run. Rounding ``u``
+    turns the run's rows, the furthest of the prefix, into a sawtooth whose
+    top recurs in later blocks: a block bound read off the end rows without
+    a rounding margin misses it.
+    """
+
+    seed: int = 0
+
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        rng = np.random.default_rng(self.seed)
+        run = [10.0 ** rng.uniform(-4, -2)]
+        for _ in range(int(0.3 * self.n_geps) - 1):
+            run.append(np.nextafter(run[-1], 1.0))
+        rest = rng.uniform(run[-1], 0.99, self.n_geps)
+        return np.unique(np.concatenate([run, rest]))[:self.n_geps]
+
+
+def section4_with_bounds(spec: Section4Spec) -> ProblemFamily:
+    """The section4 family over ``spec``'s thresholds, with its bound hooks."""
+    family, _, _ = build_section4(spec.n_geps, spec.n_maps)
+    gep_kernel, gep_moved, gep_bound, map_kernel, map_moved, map_bound = (
+        problems._section4_kernels(spec))
+    return replace(family, gep_kernel=gep_kernel, gep_moved=gep_moved,
+                   gep_bound=gep_bound, map_kernel=map_kernel,
+                   map_moved=map_moved, map_bound=map_bound)
+
+
+def probe_points(rng, thresholds, count) -> np.ndarray:
+    """Uniform points in [-1, 1], points within 3 ulps of thresholds, of 0
+    and of +-1."""
+    near = rng.choice(thresholds, count // 3)
+    steps = rng.integers(-3, 4, near.size)
+    near = near + steps * np.spacing(near)
+    edges = np.array([0.0, 1.0, -1.0])
+    edges = (edges[:, None] + np.arange(-3, 4) * np.spacing(edges)[:, None]).ravel()
+    points = np.concatenate([rng.uniform(-1, 1, count - near.size - edges.size),
+                             near, edges])
+    return np.clip(points, -1.0, 1.0)
+
+
+def same_winner(a, b) -> bool:
+    return (a.index, a.dist2) == (b.index, b.dist2) and np.array_equal(a.point, b.point)
+
+
+class TestSection4BlockBounds:
+    """The bounded reduction against the full scan on the same grid."""
+
+    # Seeds 0-1: the evenly spaced benchmark grid; 2-3: seeded run clusters.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bounded_reduction_equals_full_scan(self, monkeypatch, seed):
+        monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+        rng = np.random.default_rng(seed)
+        n_geps, n_maps = int(rng.integers(400, 650)), int(rng.integers(400, 650))
+        spec = (Section4Spec(n_geps, n_maps) if seed < 2
+                else SeededSpec(n_geps, n_maps, seed=seed))
+        bounded = section4_with_bounds(spec)
+        full = replace(bounded, gep_bound=None, map_bound=None)
+        points = probe_points(rng, spec.thresholds, 2500)
+        references = rng.permutation(points) * rng.choice([1.0, 3.0], points.size)
+        pools = {w: ThreadPoolExecutor(max_workers=w) for w in (2, 8)}
+        try:
+            for k, (p, c) in enumerate(zip(points, references)):
+                x, ref = np.array([p]), np.array([c])
+                calls = {
+                    "phase1": lambda fam, pool, w: resolvent_phase(fam, 1.0, x, pool, w),
+                    "mapping": lambda fam, pool, w: mapping_phase(fam, 1, x, ref, pool, w),
+                    "res_S": lambda fam, pool, w: mapping_phase(fam, 1, x, x, pool, w),
+                }
+                # Pooled runs on every fourth point keep the test short.
+                workers = (1, 2, 8) if k % 4 == 0 else (1,)
+                for name, call in calls.items():
+                    expected = call(full, None, 1)
+                    for w in workers:
+                        got = call(bounded, pools.get(w), w)
+                        assert same_winner(got, expected), (name, p, c, w)
+                        assert got.blocks <= expected.blocks
+        finally:
+            for pool in pools.values():
+                pool.shutdown()
+
+    def test_arctan_error_within_the_assumed_ulps(self):
+        # The resolvent bound's margin assumes ARCTAN_ULPS; math.atan is
+        # within 1 ulp of exact, so numpy may be ARCTAN_ULPS - 1 from it, on
+        # contiguous arrays (the SIMD loop) and on short ones (their tails).
+        rng = np.random.default_rng(5)
+        u = np.concatenate([rng.uniform(0.0, 2.0, 20_000),
+                            10.0 ** rng.uniform(-9, 0, 5_000), [0.0, 2.0]])
+        exact = np.array([math.atan(v) for v in u])
+        pieces = [slice(i, i + 1 + i % 7) for i in range(0, 4000, 8)]
+        short = np.concatenate([np.arctan(u[piece]) for piece in pieces])
+        for got, ref in ((np.arctan(u), exact),
+                         (short, np.concatenate([exact[piece] for piece in pieces]))):
+            ulps = np.abs(got - ref) / np.spacing(ref)
+            assert ulps.max() <= problems.ARCTAN_ULPS - 1
+
+    def test_one_block_prefix_calls_no_hook(self):
+        family, _, _ = build_section4(2000, 3000)
+        calls = []
+
+        def counting(hook):
+            def bound(*args):
+                calls.append(hook)
+                return hook(*args)
+            return bound
+
+        counted = replace(family, gep_bound=counting(family.gep_bound),
+                          map_bound=counting(family.map_bound))
+        for point in (1.0, 0.3, -0.2):
+            x = np.array([point])
+            resolvent_phase(counted, 1.0, x)
+            mapping_phase(counted, 1, x, x)
+        assert calls == []
+
+    def test_nan_from_a_family_hook_raises(self, monkeypatch):
+        monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+        family, _, _ = build_section4(300, 300)
+        nan = lambda lo, hi, *args: np.full(len(lo), np.nan)  # noqa: E731
+        broken = replace(family, gep_bound=nan, map_bound=nan)
+        x = np.array([0.9])
+        with pytest.raises(ValueError, match="block 0 .*NaN bound"):
+            resolvent_phase(broken, 1.0, x)
+        with pytest.raises(ValueError, match="block 0 .*NaN bound"):
+            mapping_phase(broken, 1, x, x)
+
+    def test_hooks_raise_like_the_kernel(self):
+        family, _, _ = build_section4(100, 100)
+        lo, hi = np.array([0, 64]), np.array([64, 100])
+        with pytest.raises(ValueError, match="unit step"):
+            family.gep_bound(lo, hi, 0.5, np.array([0.5]))
+
+    def test_map_bound_is_the_block_maximum(self):
+        # Exact: the end rows carry the kernel's bits.
+        family, _, _ = build_section4(10, 1000)
+        lo, hi = np.arange(0, 1000, 64), np.minimum(np.arange(64, 1064, 64), 1000)
+        for point, ref in ((0.7, 0.1), (0.7, 0.43), (1.0, 5.0), (0.0, 0.0)):
+            v, r = np.array([point]), np.array([ref])
+            rows = family.map_kernel(0, 1000, 1, v)[:, 0]
+            d2 = (rows - ref) ** 2
+            expected = [d2[a:b].max() for a, b in zip(lo, hi)]
+            np.testing.assert_array_equal(family.map_bound(lo, hi, 1, v, r), expected)
+
+    def test_full_scale_phase1_evaluates_one_block(self):
+        family, _, _ = build_section4(2_000_000, 3_000_000)
+        x = np.array([0.8])
+        moved = family.gep_moved(1.0, x)
+        got = resolvent_phase(family, 1.0, x)
+        full = resolvent_phase(replace(family, gep_bound=None), 1.0, x)
+        assert got.blocks == 1
+        assert full.blocks == math.ceil(moved / TARGET_CHUNK_ROWS) > 1
+        assert same_winner(got, full)

@@ -197,6 +197,22 @@ class TestIterate:
         assert abs(boundary - midpoint) <= 4 * abs(np.spacing(midpoint))
         assert cut.contains(np.array([xi_1]), tol=0.0)
 
+    def test_records_count_the_blocks_each_phase_evaluated(self, monkeypatch):
+        # 300 resolvent and 500 mapping members in 64-row blocks: phase 1
+        # moves 5 blocks' worth at the anchor 0.8 and the bound keeps it to
+        # one; a negative y_far moves no mapping member.
+        monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+        family, sched, _ = build_section4(300, 500)
+        record = iterate(initial_state([0.8]), family, sched, SolverConfig()).last
+        assert family.gep_moved(1.0, np.array([0.8])) > 4 * 64
+        assert record.blocks_y == 1
+        assert record.blocks_z == (0 if record.y_far[0] < 0 else 1)
+        unbounded = replace(family, gep_bound=None, map_bound=None)
+        full = iterate(initial_state([0.8]), unbounded, sched, SolverConfig()).last
+        assert full.blocks_y == math.ceil(family.gep_moved(1.0, np.array([0.8])) / 64)
+        assert (full.i_far, full.j_far) == (record.i_far, record.j_far)
+        np.testing.assert_array_equal(full.x_new, record.x_new)
+
     def test_worker_count_invariance(self):
         family, sched, _ = build_section4(64, 96)
         runs = {}
