@@ -288,10 +288,13 @@ class ProblemFamily:
         maps = tuple(maps)
         alpha = min((op.alpha for _, op in geps), default=math.inf)
         kappa = max((s.kappa for s in maps), default=0.0)
-        # Plain mappings hold at k = 1 whatever sequence they declare.
-        asymptotic = tuple(s for s in maps if s.asymptotic)
-        if asymptotic:
-            k_seq = lambda n: max(s.k_seq(n) for s in asymptotic)  # noqa: E731
+        # Plain mappings hold at k = 1 whatever sequence they declare. Maps
+        # that share a sequence object share its terms, so each distinct
+        # one (by identity: a sequence need not be hashable) is evaluated
+        # once per term.
+        sequences = tuple({id(s.k_seq): s.k_seq for s in maps if s.asymptotic}.values())
+        if sequences:
+            k_seq = lambda n: max(k(n) for k in sequences)  # noqa: E731
         else:
             k_seq = lambda n: 1.0  # noqa: E731
 

@@ -5,15 +5,19 @@ furthest from a reference point. Only the moved prefix of the family is
 evaluated: every member past it leaves the evaluation point unchanged, so
 that point stands for all of them as one candidate at the prefix's end.
 
-The prefix lies on one global grid of blocks, ``[b*R, min((b+1)*R, moved))``
-with ``R = TARGET_CHUNK_ROWS``, whatever the worker count. A family may
-bound its blocks: for each one, an upper bound on the float squared
-distance of its rows to the reference point. Blocks are visited in
-descending bound order, index order among equal bounds, and the walk stops
-at the first block whose bound is strictly below the best distance found:
-none of its rows can beat or tie that best. A family without bounds gets
-infinite ones, so every block is visited in index order; a prefix of one
-block computes no bounds. The highest-bound block runs on the calling
+The prefix lies on one global grid of blocks that depends on the prefix
+length alone, never on the worker count. A family may bound its blocks: for
+each one, an upper bound on the float squared distance of its rows to the
+reference point. Blocks are visited in descending bound order, index order
+among equal bounds, and the walk stops at the first block whose bound is
+strictly below the best distance found: none of its rows can beat or tie
+that best. A family without bounds gets infinite ones, so every block is
+visited in index order, and its grid is ``[b*R, min((b+1)*R, moved))`` with
+``R = TARGET_CHUNK_ROWS``; a prefix of one block computes no bounds. A
+bounded prefix of more than one block starts with finer blocks of
+``LEADING_BLOCK_ROWS``, twice that, and so on up to ``R`` rows, then goes on
+in blocks of ``R``: when the winner sits near the start, pruning leaves a
+small block to evaluate. The highest-bound block runs on the calling
 thread, alone unless its bound is infinite. With a pool the blocks that
 survive pruning then go out ``workers`` at a time, one on the calling
 thread, and each round's merged best prunes the next.
@@ -52,8 +56,15 @@ BlockBound = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # resolvent pass took 3.0 ms with these blocks, 6.2 ms with 262,144-row
 # blocks (2 MiB each) and 3.7 ms with 8,192-row blocks, where the per-block
 # Python cost outweighs the cache gain (2-vCPU x86-64 host, 2 MiB L2 per
-# core, numpy 2.4).
+# core, numpy 2.4). That holds for a scan of every block; a bounded scan
+# that prunes all but the leading blocks evaluates only those, which is why
+# its grid starts finer.
 TARGET_CHUNK_ROWS = 32_768
+
+# First block of a bounded grid; the leading blocks double from it up to
+# TARGET_CHUNK_ROWS. Their sizes 64, 128, ..., 16,384 add up to one block
+# less 64 rows, so the bound hook sees about nine more blocks at 32,768 rows.
+LEADING_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,24 @@ def _block_bounds(bound: BlockBound, starts: np.ndarray, stops: np.ndarray) -> l
     return bounds.tolist()
 
 
+def _leading_grid(moved: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block starts and stops of a bounded prefix longer than one block.
+
+    Leading blocks of ``LEADING_BLOCK_ROWS`` rows, doubling while below
+    ``TARGET_CHUNK_ROWS``, then blocks of ``TARGET_CHUNK_ROWS`` rows; the
+    last block stops at ``moved``. Every leading block starts below
+    ``TARGET_CHUNK_ROWS``, so each one lies in the prefix.
+    """
+    lead, edge, size = [], 0, LEADING_BLOCK_ROWS
+    while size < TARGET_CHUNK_ROWS:
+        lead.append(edge)
+        edge += size
+        size *= 2
+    starts = np.concatenate((np.array(lead, dtype=np.int64),
+                             np.arange(edge, moved, TARGET_CHUNK_ROWS)))
+    return starts, np.append(starts[1:], moved)
+
+
 def furthest_candidate(
     evaluate: ChunkEvaluator,
     count: int,
@@ -149,11 +178,12 @@ def furthest_candidate(
         fixed = np.asarray(fixed, dtype=np.float64)
         if fixed.shape != x.shape:
             raise ValueError(f"fixed point has shape {fixed.shape}, expected {x.shape}")
-    starts = np.arange(0, moved, TARGET_CHUNK_ROWS)
-    stops = np.minimum(starts + TARGET_CHUNK_ROWS, moved)
-    if bound is None or len(starts) < 2:
+    if bound is None or moved <= TARGET_CHUNK_ROWS:
+        starts = np.arange(0, moved, TARGET_CHUNK_ROWS)
+        stops = np.minimum(starts + TARGET_CHUNK_ROWS, moved)
         bounds = [math.inf] * len(starts)
     else:
+        starts, stops = _leading_grid(moved)
         bounds = _block_bounds(bound, starts, stops)
     # Descending bounds; the sort is stable, so equal bounds keep index order.
     order = sorted(range(len(bounds)), key=lambda b: -bounds[b])

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -155,7 +154,12 @@ def section4_map(c: float) -> PseudoContraction:
 
 @dataclass(frozen=True)
 class Section4Spec:
-    """Sizes and derived constants of the reference benchmark family."""
+    """Sizes and derived constants of the reference benchmark family.
+
+    Member constants are closed forms of the member index, so the family
+    holds no array of them: its kernels build the thresholds and
+    coefficients of a block when they evaluate it.
+    """
 
     n_geps: int
     n_maps: int
@@ -164,16 +168,49 @@ class Section4Spec:
         if self.n_geps < 1 or self.n_maps < 1:
             raise ValueError("benchmark needs at least one member of each kind")
 
-    @cached_property
+    @property
     def thresholds(self) -> np.ndarray:
-        """Strictly ascending; the closed-form resolvent kernel relies on it."""
-        # -1 + 2 * i / (N + 1), built in place: the same ufuncs in the same
-        # order, so the same bits, without full-size temporaries.
-        t = np.arange(1, self.n_geps + 1, dtype=np.float64)
+        """All ``N`` thresholds; the family itself never builds them.
+
+        Strictly ascending; the closed-form resolvent kernel relies on it.
+        """
+        return self.thresholds_at(np.arange(self.n_geps))
+
+    def thresholds_at(self, indices) -> np.ndarray:
+        """Thresholds ``-1 + 2 (i + 1) / (N + 1)`` of members ``indices``, an
+        index or an array of them.
+
+        One ufunc after another, in place for an array. An entry depends on
+        its index alone, so any set of indices gives the bits of the full
+        array at those places.
+        """
+        t = np.add(indices, 1.0, dtype=np.float64)
         t *= 2.0
         t /= self.n_geps + 1
         t += -1.0
         return t
+
+    def count_at_most(self, point: float) -> int:
+        """How many thresholds are at most ``point``.
+
+        Equal to ``np.searchsorted(thresholds, point, side="right")``: the
+        closed-form count ``(point + 1) (N + 1) / 2``, which rounding can
+        put one member off, is moved until threshold ``k - 1`` is at most
+        ``point`` and threshold ``k`` is above it.
+        """
+        n = self.n_geps
+        guess = (point + 1.0) * (n + 1) / 2.0
+        # NaN sorts after every threshold, as in searchsorted.
+        k = 0 if guess <= 0.0 else n if not guess < n else int(guess)
+        while True:
+            # Thresholds -1 and N are -1.0 and 1.0; the tests on k skip them.
+            below, above = self.thresholds_at(np.arange(k - 1, k + 1))
+            if k > 0 and below > point:
+                k -= 1
+            elif k < n and above <= point:
+                k += 1
+            else:
+                return k
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -185,7 +222,8 @@ class Section4Spec:
 
         Built in place like the thresholds. An entry depends on its index
         alone, so every block split gives the same bits. The map kernel
-        builds them per block rather than keep 24 MB alive at M = 3e6.
+        builds them per block rather than keep 24 MB alive at M = 3e6, as
+        the resolvent kernel does with the 16 MB of thresholds at N = 2e6.
         """
         c = np.arange(lo + 1, hi + 1, dtype=np.float64)
         c /= self.n_maps + 1
@@ -200,7 +238,7 @@ class Section4Spec:
     @property
     def reference(self) -> float:
         """Projection of the anchor 1 onto the solution interval."""
-        return float(self.thresholds[0])
+        return float(self.thresholds_at(0))
 
 
 # Error of np.arctan assumed by the resolvent block bound, in ulps of the
@@ -214,12 +252,10 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _section4_kernels(spec: Section4Spec):
-    thresholds = spec.thresholds
-
     def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
         if r != 1.0:
             raise ValueError("closed-form benchmark kernel requires unit step r=1")
-        xi = thresholds[lo:hi]
+        xi = spec.thresholds_at(np.arange(lo, hi))
         moved = float(x[0]) - xi
         np.arctan(moved, out=moved)
         moved += xi
@@ -248,7 +284,7 @@ def _section4_kernels(spec: Section4Spec):
         if r != 1.0:
             raise ValueError("closed-form benchmark kernel requires unit step r=1")
         point = float(x[0])
-        xi = thresholds[np.stack((lo, hi - 1))]
+        xi = spec.thresholds_at(np.stack((lo, hi - 1)))
         ends = point - xi
         np.arctan(ends, out=ends)
         ends += xi
@@ -263,7 +299,7 @@ def _section4_kernels(spec: Section4Spec):
     def gep_moved(r: float, x: np.ndarray) -> int:
         # Thresholds ascend, so the members that fix the point (xi > point)
         # form a suffix of the family.
-        return int(np.searchsorted(thresholds, float(x[0]), side="right"))
+        return spec.count_at_most(float(x[0]))
 
     def map_kernel(lo: int, hi: int, power: int, v: np.ndarray) -> np.ndarray:
         # Members are plain pseudocontractions: effective power is one.
@@ -307,13 +343,12 @@ def build_section4(n_geps: int, n_maps: int):
     pseudocontraction constant, and unit resolvent steps.
     """
     spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
-    thresholds = spec.thresholds
     base = Box(lo=[-1.0], hi=[1.0])
     gep_kernel, gep_moved, gep_bound, map_kernel, map_moved, map_bound = (
         _section4_kernels(spec))
 
     def gep_member(i: int):
-        return (section4_bifunction(float(thresholds[i])), zero_operator())
+        return (section4_bifunction(float(spec.thresholds_at(i))), zero_operator())
 
     def map_member(j: int):
         return section4_map(float(spec.coefficient_block(j, j + 1)[0]))
@@ -424,10 +459,11 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
                 "cor4 expects asymptotically nonexpansive mappings declared "
                 "with zero pseudocontraction constant"
             )
-        maps = tuple(
-            replace(s, asymptotic=True, k_seq=_squared_sequence(s.k_seq))
-            for s in maps
-        )
+        # One wrapper per distinct sequence, so that the family evaluates a
+        # shared sequence once per term.
+        squared = {id(s.k_seq): _squared_sequence(s.k_seq) for s in maps}
+        maps = tuple(replace(s, asymptotic=True, k_seq=squared[id(s.k_seq)])
+                     for s in maps)
         if not operators:
             operators = tuple(zero_operator() for _ in bifunctions)
         geps = tuple(zip(bifunctions, operators, strict=True))

@@ -422,3 +422,57 @@ def test_one_block_prefix_computes_no_bound(monkeypatch, moved):
                              fixed=np.zeros(1), moved=moved, bound=bound)
     assert calls == []
     assert got.blocks == (1 if moved else 0)
+
+
+def leading_grid(moved, rows):
+    """The grid of a bounded prefix: blocks of 64, 128, ... rows up to
+    ``rows``, then ``rows`` rows a block."""
+    spans, lo, size = [], 0, 64
+    while lo < moved:
+        spans.append((lo, min(lo + size, moved)))
+        lo += size
+        size = min(2 * size, rows)
+    return spans
+
+
+def recorded_spans(rows, moved, workers, bound):
+    """The blocks one reduction evaluates, in call order."""
+    calls = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        got = furthest_candidate(moved_evaluator(np.ones((moved, 1)), calls), moved + 7,
+                                 np.zeros(1), fixed=np.zeros(1), pool=pool,
+                                 workers=workers, moved=moved, bound=bound)
+    assert got.blocks == len(calls)
+    return calls
+
+
+@pytest.mark.parametrize("rows, moved", [
+    (1024, 1025), (1024, 5000), (1024, 20_000),
+    (TARGET_CHUNK_ROWS, 3 * TARGET_CHUNK_ROWS + 5),
+])
+def test_bounded_prefix_starts_with_finer_blocks(monkeypatch, rows, moved):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", rows)
+    expected = leading_grid(moved, rows)
+    assert [hi - lo for lo, hi in expected][:3] == [64, 128, 256]
+    hooked = []
+
+    def bound(lo, hi):
+        hooked.append(list(zip(lo.tolist(), hi.tolist())))
+        return np.full(len(lo), np.inf)  # every block is visited
+
+    for workers in (1, 2, 8):
+        # Infinite bounds visit the blocks in index order, some on the pool.
+        assert sorted(recorded_spans(rows, moved, workers, bound)) == expected
+        assert hooked.pop() == expected
+        # Without a bound the grid is the plain one.
+        assert sorted(recorded_spans(rows, moved, workers, None)) == grid(moved, rows)
+
+
+@pytest.mark.parametrize("moved", [1, 1000, 1024])
+def test_bounded_prefix_of_one_block_keeps_the_plain_grid(monkeypatch, moved):
+    monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 1024)
+
+    def bound(lo, hi):
+        raise AssertionError("a one-block prefix computes no bound")
+
+    assert recorded_spans(1024, moved, 2, bound) == [(0, moved)]

@@ -30,7 +30,7 @@ from hybridproj.problems import (
     section4_map,
 )
 from hybridproj.parallel import TARGET_CHUNK_ROWS
-from hybridproj.solver import mapping_phase, resolvent_phase, solve
+from hybridproj.solver import checked_inputs, mapping_phase, resolvent_phase, solve
 from oracles import (
     full_chunk,
     section4_coefficients,
@@ -76,15 +76,43 @@ class TestSection4Spec:
         assert got.tobytes() == section4_coefficients(3_000_000).tobytes()
 
     def test_building_the_family_allocates_no_member_array(self):
-        # 24 MB of coefficients at M = 3e6 if they were stored.
+        # 16 MB of thresholds at N = 2e6 and 24 MB of coefficients at
+        # M = 3e6 if they were stored.
         tracemalloc.start()
         try:
-            family, _, _ = build_section4(1, 3_000_000)
+            family, _, _ = build_section4(2_000_000, 3_000_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert family.n_maps == 3_000_000
+        assert (family.n_geps, family.n_maps) == (2_000_000, 3_000_000)
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_geps", [1, 2, 3, 7, 2000, 2_000_000])
+    def test_thresholds_at_match_the_closed_formula(self, n_geps):
+        spec = Section4Spec(n_geps=n_geps, n_maps=1)
+        expected = section4_thresholds(n_geps)
+        assert spec.thresholds_at(np.arange(n_geps)).tobytes() == expected.tobytes()
+        # Any index set, in any order and shape, gives the same bits.
+        picks = np.random.default_rng(n_geps).integers(0, n_geps, (2, 50))
+        assert spec.thresholds_at(picks).tobytes() == expected[picks].tobytes()
+
+    @pytest.mark.parametrize("n_geps", [1, 2, 3, 7, 2000, 2_000_000])
+    def test_count_at_most_matches_searchsorted(self, n_geps):
+        spec = Section4Spec(n_geps=n_geps, n_maps=1)
+        thresholds = section4_thresholds(n_geps)
+        rng = np.random.default_rng(n_geps)
+        near = rng.choice(thresholds, 1000)
+        edges = np.array([0.0, 1.0, -1.0])
+        ulps = np.arange(-3, 4)
+        points = np.concatenate([
+            (near[:, None] + ulps * np.spacing(near)[:, None]).ravel(),
+            (edges[:, None] + ulps * np.spacing(edges)[:, None]).ravel(),
+            rng.uniform(-1.0, 1.0, 500),
+            [-np.inf, -1e300, -3.0, -1.5, 1.5, 3.0, 1e300, np.inf],
+        ])
+        expected = np.searchsorted(thresholds, points, side="right")
+        got = [spec.count_at_most(float(p)) for p in points]
+        np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("n_geps", [1, 2, 3, 1000, 2_000_000])
     def test_thresholds_ascend_strictly(self, n_geps):
@@ -446,6 +474,29 @@ class TestPresets:
         issues = sched.violations(family.kappa, family.alpha, 5)
         assert any(v.startswith("k_0=") and v.endswith("below 1") for v in issues)
 
+    def test_cor4_evaluates_a_shared_sequence_once_per_term(self):
+        # 100 maps share one sequence object; one more has its own, which
+        # dominates the first terms.
+        calls = []
+
+        def shared(n):
+            calls.append(n)
+            return 1.0 + 1.0 / (n + 2)
+
+        def own(n):
+            return 1.0 + 3.0 / (n + 2) ** 2
+
+        maps = [PseudoContraction(map=lambda v: 0.5 * v, kappa=0.0, k_seq=shared)
+                for _ in range(100)]
+        maps.append(PseudoContraction(map=lambda v: -0.5 * v, kappa=0.0, k_seq=own))
+        family, cfg, sched = preset("cor4", base=Box(lo=[-1.0], hi=[1.0]), maps=maps)
+        assert len({id(s.k_seq) for s in family.maps}) == 2
+        checked_inputs(family, sched, replace(cfg, max_iter=300), [0.5])
+        assert calls == list(range(300))
+        for n in range(300):
+            k = max(1.0 + 1.0 / (n + 2), own(n))
+            assert family.k_seq(n) == k * k
+
     def test_cor4_rejects_positive_constant(self):
         base = Box(lo=[-1.0], hi=[1.0])
         with pytest.raises(ValueError):
@@ -544,6 +595,13 @@ class SeededSpec(Section4Spec):
         rest = rng.uniform(run[-1], 0.99, self.n_geps)
         return np.unique(np.concatenate([run, rest]))[:self.n_geps]
 
+    # The kernels read thresholds only through these two.
+    def thresholds_at(self, indices) -> np.ndarray:
+        return self.thresholds[indices]
+
+    def count_at_most(self, point: float) -> int:
+        return int(np.searchsorted(self.thresholds, point, side="right"))
+
 
 def section4_with_bounds(spec: Section4Spec) -> ProblemFamily:
     """The section4 family over ``spec``'s thresholds, with its bound hooks."""
@@ -578,13 +636,25 @@ class TestSection4BlockBounds:
     # Seeds 0-1: the evenly spaced benchmark grid; 2-3: seeded run clusters.
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bounded_reduction_equals_full_scan(self, monkeypatch, seed):
-        monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", 64)
+        # 64-row blocks leave no room for finer leading blocks.
+        self.check_against_full_scan(monkeypatch, seed, rows=64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bounded_leading_grid_equals_full_scan(self, monkeypatch, seed):
+        # At 256-row blocks a bounded grid starts with blocks of 64 and 128.
+        self.check_against_full_scan(monkeypatch, seed, rows=256)
+
+    @staticmethod
+    def check_against_full_scan(monkeypatch, seed, rows):
+        monkeypatch.setattr("hybridproj.parallel.TARGET_CHUNK_ROWS", rows)
         rng = np.random.default_rng(seed)
         n_geps, n_maps = int(rng.integers(400, 650)), int(rng.integers(400, 650))
         spec = (Section4Spec(n_geps, n_maps) if seed < 2
                 else SeededSpec(n_geps, n_maps, seed=seed))
         bounded = section4_with_bounds(spec)
-        full = replace(bounded, gep_bound=None, map_bound=None)
+        # Infinite bounds scan every block of the bounded grid.
+        infinite = lambda lo, hi, *args: np.full(len(lo), np.inf)  # noqa: E731
+        full = replace(bounded, gep_bound=infinite, map_bound=infinite)
         points = probe_points(rng, spec.thresholds, 2500)
         references = rng.permutation(points) * rng.choice([1.0, 3.0], points.size)
         pools = {w: ThreadPoolExecutor(max_workers=w) for w in (2, 8)}
