@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -295,9 +295,10 @@ def contains(nested: NestedSet, p, tol: float = DEFAULT_CONTAINS_TOL) -> bool:
     return all(cut.contains(v, tol) for cut in nested.cuts)
 
 
-def _max_violation(nested: NestedSet, v: np.ndarray, active: Sequence[Halfspace]) -> float:
+def _max_violation(nested: NestedSet, v: np.ndarray) -> float:
     base_gap = float(np.linalg.norm(v - nested.base.project(v)))
-    cut_gap = max((cut.value(v) for cut in active), default=0.0)
+    cut_gap = max((cut.value(v) for cut in nested.cuts if not cut._degenerate),
+                  default=0.0)
     return max(base_gap, cut_gap, 0.0)
 
 
@@ -315,7 +316,16 @@ def project_nested(
     metric projection; iteration stops once a full sweep moves the iterate
     by no more than ``tol``.
 
+    ``tol`` must be positive and finite and ``max_sweeps`` at least 1, the
+    ranges :class:`~hybridproj.solver.SolverConfig` enforces for
+    ``projection_tol`` and ``projection_max_sweeps``: a NaN ``tol`` would
+    spend the whole budget on a converged point, an infinite one would stop
+    after one sweep whatever it moved, and no sweep at all leaves nothing
+    to return.
+
     Raises:
+        ValueError: ``x0`` has the wrong dimension, or an argument lies
+            outside its range.
         ProjectionFailure: sweep budget exhausted before reaching ``tol``;
             the exception carries the best iterate and its sweep residual.
         InfeasibleSetError: sweeps settle into a repeating cycle with large
@@ -325,32 +335,57 @@ def project_nested(
     start = as_vector(x0)
     if start.size != nested.dim:
         raise ValueError("point dimension does not match the set")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    active = [cut for cut in nested.cuts if not cut._degenerate]
-    if not active:
-        return nested.base.project(start)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not max_sweeps >= 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
 
     # Newest cut first: recent cuts tend to be the binding ones, and leading
     # with them avoids the slow one-per-sweep release of increments parked
     # on superseded cuts.
-    sets: list = [*reversed(active), nested.base]
-    x = np.array(start)
-    increments = [np.zeros_like(x) for _ in sets]
+    cuts = [(cut.normal, cut.offset, cut._norm2)
+            for cut in reversed(nested.cuts) if not cut._degenerate]
+    if not cuts:
+        return nested.base.project(start)
+
+    base = nested.base
+    x = start
+    # Increments are replaced, never written to, so they can start out as
+    # one shared zero vector.
+    zero = np.zeros_like(x)
+    increments = [zero] * len(cuts)
+    base_increment = zero
     stalled = 0
     prev_violation = math.inf
     step_max = math.inf
     for sweep in range(1, max_sweeps + 1):
         sweep_start = x
         step_max = 0.0
-        for k, s in enumerate(sets):
+        # Halfspace.project inlined with its formulas, except that a cut
+        # that holds w returns w itself rather than a copy: nothing writes
+        # to it. On 1-D float64 vectors a.dot(b) calls the dot routine that
+        # a @ b calls, at half the call cost, and np.linalg.norm(v) is
+        # sqrt(v.dot(v)), so every value keeps its bits.
+        for k, (normal, offset, norm2) in enumerate(cuts):
             w = x + increments[k]
-            y = s.project(w)
+            excess = float(normal.dot(w)) - offset
+            y = w if excess <= 0.0 else w - (excess / norm2) * normal
             increments[k] = w - y
-            step_max = max(step_max, float(np.linalg.norm(y - x)))
+            move = y - x
+            step = math.sqrt(move.dot(move))
+            if step > step_max:
+                step_max = step
             x = y
-        closure = float(np.linalg.norm(x - sweep_start))
+        w = x + base_increment
+        y = base.project(w)
+        base_increment = w - y
+        move = y - x
+        step = math.sqrt(move.dot(move))
+        if step > step_max:
+            step_max = step
+        x = y
+        move = x - sweep_start
+        closure = math.sqrt(move.dot(move))
         if closure <= tol and step_max <= tol:
             return x
         # Disjoint sets make the sweep close onto an exact limit cycle: the
@@ -359,7 +394,7 @@ def project_nested(
         # cuts, stale-increment release) keeps either the closure or the
         # violation strictly shrinking but is never an exact cycle.
         if closure <= max(10.0 * tol, 1e-9 * step_max) and step_max > 100.0 * tol:
-            violation = _max_violation(nested, x, active)
+            violation = _max_violation(nested, x)
             if violation > max(1e3 * tol, 1e-9) and violation >= 0.999 * prev_violation:
                 stalled += 1
                 if stalled >= 5:

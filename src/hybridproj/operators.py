@@ -13,6 +13,7 @@ objects one by one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -278,8 +279,9 @@ class ProblemFamily:
         :class:`ScalarMonotoneBifunction` paired with a zero operator is
         solved by :func:`resolvent_scalar` on the float coordinate, the
         call its ``resolve`` makes. Every member gets its own copy of the
-        evaluation point, so a member that writes to its argument reaches
-        neither the caller nor the next member. The results of a block are
+        evaluation point (a plain mapping gets its own row of one copy made
+        per block), so a member that writes to its argument reaches neither
+        the caller nor the next member. The results of a block are
         converted to float64 together, after its last member has run, so a
         member must not write later to an array it has returned. A result
         that is not ``d`` values raises ``ValueError``.
@@ -326,11 +328,15 @@ class ProblemFamily:
             _check_power(nominal_power)
             nominal_power = int(nominal_power)
             pv = as_vector(point)
-            rows = [
-                _power(s, nominal_power, pv) if s.asymptotic else s.map(pv.copy())
-                for s in maps[lo:hi]
+            members = maps[lo:hi]
+            # One copy of the point for the whole block: each plain member
+            # gets its own row of it.
+            rows = np.tile(pv, (len(members), 1))
+            results = [
+                _power(s, nominal_power, pv) if s.asymptotic else s.map(row)
+                for s, row in zip(members, rows)
             ]
-            return _block(rows, pv.size, "map", lo)
+            return _block(results, pv.size, "map", lo)
 
         return cls(
             base=base, geps=geps, maps=maps,
@@ -342,15 +348,24 @@ class ProblemFamily:
 def _block(results: list, d: int, kind: str, lo: int) -> np.ndarray:
     """Member results ``lo..`` as one ``(len(results), d)`` float64 array.
 
-    One conversion serves the whole block. Results of mixed shapes (a
-    float next to a 1-element array) take a conversion per row. A result
-    that does not hold ``d`` values raises ``ValueError`` naming its member;
-    it is never broadcast across the row.
+    One conversion serves the whole block. Rows that are lists or tuples of
+    ``d`` items, such as the one-element lists section4's mappings return,
+    are read in one flat pass; other rows (floats, arrays) go through one
+    array call. Results of mixed shapes (a float next to a 1-element array)
+    take a conversion per row. A result that does not hold ``d`` values
+    raises ``ValueError`` naming its member; it is never broadcast across
+    the row.
     """
     n = len(results)
     try:
-        block = np.array(results, dtype=np.float64)
-    except ValueError:  # results of unequal shapes
+        if n and isinstance(results[0], (list, tuple)) and set(map(len, results)) == {d}:
+            # With d items in every row, the flat pass yields n * d values;
+            # an item that is not one value raises.
+            flat = itertools.chain.from_iterable(results)
+            block = np.fromiter(flat, np.float64, count=n * d)
+        else:
+            block = np.array(results, dtype=np.float64)
+    except (TypeError, ValueError):  # rows without a length, or of unequal shapes
         block = None
     if block is not None and block.size == n * d:
         return block.reshape(n, d)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -115,7 +115,7 @@ def _chunk_best(evaluate: ChunkEvaluator, lo: int, hi: int, x: np.ndarray) -> Fu
     return Furthest(index=lo + i, point=np.array(points[i]), dist2=d2)
 
 
-def _block_bounds(bound: BlockBound, starts: np.ndarray, stops: np.ndarray) -> list[float]:
+def _block_bounds(bound: BlockBound, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     bounds = np.asarray(bound(starts, stops), dtype=np.float64)
     if bounds.shape != starts.shape:
         raise ValueError(f"block bound returned shape {bounds.shape}, "
@@ -126,7 +126,7 @@ def _block_bounds(bound: BlockBound, starts: np.ndarray, stops: np.ndarray) -> l
         b = int(nan[0])
         raise ValueError(f"block {b} (members {starts[b]}..{stops[b] - 1}) "
                          f"has a NaN bound")
-    return bounds.tolist()
+    return bounds
 
 
 def _leading_grid(moved: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,12 +181,16 @@ def furthest_candidate(
     if bound is None or moved <= TARGET_CHUNK_ROWS:
         starts = np.arange(0, moved, TARGET_CHUNK_ROWS)
         stops = np.minimum(starts + TARGET_CHUNK_ROWS, moved)
+        # Equal (infinite) bounds: the visiting order is the index order.
         bounds = [math.inf] * len(starts)
+        order = list(range(len(starts)))
     else:
         starts, stops = _leading_grid(moved)
-        bounds = _block_bounds(bound, starts, stops)
-    # Descending bounds; the sort is stable, so equal bounds keep index order.
-    order = sorted(range(len(bounds)), key=lambda b: -bounds[b])
+        block_bounds = _block_bounds(bound, starts, stops)
+        # Descending bounds; the sort is stable, so equal bounds keep index
+        # order.
+        order = np.argsort(-block_bounds, kind="stable").tolist()
+        bounds = block_bounds.tolist()
     spans = list(zip(starts.tolist(), stops.tolist()))
     width = 1 if pool is None else workers
     best = None
@@ -202,7 +206,8 @@ def furthest_candidate(
             found = [_chunk_best(evaluate, *spans[batch[0]], x)]
         finally:
             # No block outlives the call, even when the calling thread's raises.
-            wait(futures)
+            if futures:
+                wait(futures)
         found += [f.result() for f in futures]
         for candidate in found:
             if candidate.beats(best):
@@ -212,7 +217,6 @@ def furthest_candidate(
         # Every left-out member's candidate is ``fixed``: its first index is
         # ``moved``, past the prefix, so it wins only when strictly further.
         tail2 = float(squared_distances(fixed[np.newaxis], x)[0])
-        tail = Furthest(index=moved, point=np.array(fixed), dist2=tail2)
-        if tail.beats(best):
-            best = tail
-    return replace(best, blocks=done)
+        if best is None or tail2 > best.dist2:
+            return Furthest(index=moved, point=np.array(fixed), dist2=tail2, blocks=done)
+    return Furthest(index=best.index, point=best.point, dist2=best.dist2, blocks=done)

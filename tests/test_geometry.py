@@ -4,6 +4,7 @@ import pytest
 from hybridproj.geometry import (
     Ball,
     Box,
+    CustomSet,
     Halfspace,
     InfeasibleSetError,
     NestedSet,
@@ -13,7 +14,12 @@ from hybridproj.geometry import (
     halfspace_from_iterate,
     project_nested,
 )
-from oracles import enumerate_project, grid_project, random_cut_instance
+from oracles import (
+    dykstra_reference,
+    enumerate_project,
+    grid_project,
+    random_cut_instance,
+)
 
 
 def box1d():
@@ -161,6 +167,133 @@ class TestProjectNested:
         assert err.value.iteration is None
         assert err.value.cuts == 1
         assert 5 <= err.value.sweeps < 10_000
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
+    def test_tol_outside_its_range_is_refused(self, tol):
+        nested, x0 = random_cut_instance(np.random.default_rng(5), n_cuts=4)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            project_nested(nested, x0, tol=tol)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_max_sweeps_below_one_is_refused(self, max_sweeps):
+        nested, x0 = random_cut_instance(np.random.default_rng(5), n_cuts=4)
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            project_nested(nested, x0, max_sweeps=max_sweeps)
+
+
+def _same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes(), (got, expected)
+
+
+def _outcome(project, *args):
+    try:
+        return project(*args)
+    except (InfeasibleSetError, ProjectionFailure) as err:
+        return err
+
+
+def _same_outcome(nested, x0, tol: float = 1e-12, max_sweeps: int = 10_000):
+    """The same bytes from both loops, or the same failure: type, message,
+    cut count, sweeps and, for an exhausted budget, best point."""
+    got = _outcome(project_nested, nested, x0, tol, max_sweeps)
+    expected = _outcome(dykstra_reference, nested, x0, tol, max_sweeps)
+    if isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        _same_bits(got, expected)
+        return got
+    assert type(got) is type(expected) and str(got) == str(expected)
+    assert (got.iteration, got.cuts, got.sweeps) == (
+        expected.iteration, expected.cuts, expected.sweeps)
+    if isinstance(expected, ProjectionFailure):
+        assert got.residual == expected.residual
+        _same_bits(got.best, expected.best)
+    return got
+
+
+def _base(kind: str, d: int):
+    if kind == "box":
+        return Box(lo=np.full(d, -1.0), hi=np.linspace(1.0, 1.5, d))
+    if kind == "ball":
+        return Ball(center=np.linspace(0.1, -0.1, d), radius=1.2)
+    # A box again, behind a user projection oracle.
+    return CustomSet(projection=lambda p: np.clip(p, -0.9, 1.1), dimension=d)
+
+
+def _mixed_instance(rng: np.random.Generator, d: int, kind: str, n_cuts: int):
+    """Cuts with a margin around an interior point whose first coordinate is
+    -0.0, degenerate cuts between; returns the set and that point."""
+    nested = NestedSet(base=_base(kind, d))
+    inner = rng.uniform(-0.3, 0.3, size=d)
+    inner[0] = -0.0
+    for k in range(n_cuts):
+        if k % 3 == 1:
+            nested.add_cut(Halfspace(normal=np.zeros(d), offset=float(rng.uniform(0, 1))))
+        normal = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
+        margin = rng.uniform(0.01, 0.3) * float(np.linalg.norm(normal))
+        nested.add_cut(Halfspace(normal=normal, offset=float(normal @ inner) + margin))
+    return nested, inner
+
+
+class TestBitIdenticalToReference:
+    """``project_nested`` returns the bytes of the plain loop, and fails as
+    it does."""
+
+    def test_random_cut_instances(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            nested, x0 = random_cut_instance(rng, n_cuts=int(rng.integers(1, 12)))
+            _same_outcome(nested, x0)
+
+    @pytest.mark.parametrize("kind", ["box", "ball", "custom"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bases_dimensions_and_degenerate_cuts(self, d, kind):
+        rng = np.random.default_rng(100 * d + len(kind))
+        for n_cuts in (1, 2, 5, 9):
+            nested, _ = _mixed_instance(rng, d, kind, n_cuts)
+            for x0 in (rng.uniform(-2.0, 2.0, size=d), np.full(d, -0.0),
+                       np.where(np.arange(d) == 0, -0.0, 1.7)):
+                for tol in (1e-12, 1e-6):
+                    _same_outcome(nested, x0, tol)
+
+    @pytest.mark.parametrize("kind", ["box", "ball", "custom"])
+    def test_feasible_anchor(self, kind):
+        nested, x0 = _mixed_instance(np.random.default_rng(41), 2, kind, 6)
+        assert contains(nested, x0, tol=0.0)
+        got = _same_outcome(nested, x0)
+        # The first increment is +0.0, and -0.0 + 0.0 is +0.0 in both loops.
+        np.testing.assert_array_equal(got, x0)
+
+    def test_solver_cuts(self):
+        # The 1-D cuts a section4 run accumulates, many of them slack,
+        # projected from several anchors as the solver projects its own.
+        from hybridproj.problems import build_section4
+        from hybridproj.solver import SolverConfig, SolverState, iterate
+
+        family, schedule, _ = build_section4(200, 300)
+        x0 = np.array([1.0])
+        state = SolverState(n=0, x=x0, x0=x0, nested=NestedSet(base=family.base))
+        for _ in range(40):
+            state = iterate(state, family, schedule, SolverConfig())
+        nested = state.nested
+        for x0 in ([1.0], [-0.0], [0.37], [-3.0]):
+            assert isinstance(_same_outcome(nested, x0), np.ndarray)
+
+    def test_budget_exhaustion_keeps_its_pins(self):
+        nested, x0 = random_cut_instance(np.random.default_rng(5), n_cuts=4)
+        err = _same_outcome(nested, x0, tol=1e-15, max_sweeps=1)
+        assert isinstance(err, ProjectionFailure)
+        assert (err.iteration, err.cuts, err.sweeps) == (None, 4, 1)
+
+    def test_cycle_keeps_its_message_and_sweeps(self):
+        nested = NestedSet(base=box1d())
+        nested.add_cut(Halfspace(normal=np.array([1.0]), offset=-2.0))
+        nested.add_cut(Halfspace(normal=np.array([0.0]), offset=0.0))
+        err = _same_outcome(nested, [0.0])
+        assert isinstance(err, InfeasibleSetError)
+        assert str(err).startswith("alternating projections cycle")
+        assert (err.iteration, err.cuts) == (None, 2)
+        assert 5 <= err.sweeps < 10_000
 
 
 class TestProjectionInequalities:

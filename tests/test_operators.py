@@ -607,6 +607,53 @@ class TestProblemFamily:
         # the members before the bad one still form valid rows
         np.testing.assert_array_equal(family.gep_kernel(0, 1, 1.0, x), [x])
 
+    def test_rows_of_three_and_one_values_raise(self):
+        # 3 + 1 values fill a two-row block in R^2 exactly: only a check of
+        # each row, not of the total, finds the bad member.
+        box = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+        x = np.array([0.4, -0.8])
+        for wrap in (list, tuple, np.array):
+            three = PseudoContraction(map=lambda v, w=wrap: w([0.1, 0.2, 0.3]), kappa=0.0)
+            one = PseudoContraction(map=lambda v, w=wrap: w([0.4]), kappa=0.0)
+            family = ProblemFamily.from_members(box, [], [three, one])
+            with pytest.raises(ValueError, match="map member 0 returned 3 values"):
+                family.map_kernel(0, 2, 1, x)
+            family = ProblemFamily.from_members(box, [], [identity_map(), one, three])
+            with pytest.raises(ValueError, match="map member 1 returned 1 values"):
+                family.map_kernel(0, 3, 1, x)
+        # list rows of d values each make the block
+        pair = PseudoContraction(map=lambda v: [float(v[1]), float(v[0])], kappa=0.0)
+        family = ProblemFamily.from_members(box, [], [pair] * 3)
+        np.testing.assert_array_equal(family.map_kernel(0, 3, 1, x), [[-0.8, 0.4]] * 3)
+        # a list row of the right length whose items are not one value each
+        nested = PseudoContraction(map=lambda v: [[0.1, 0.2], [0.3, 0.4]], kappa=0.0)
+        family = ProblemFamily.from_members(box, [], [pair, nested])
+        with pytest.raises(ValueError, match="map member 1 returned 4 values"):
+            family.map_kernel(0, 2, 1, x)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_every_plain_member_gets_its_own_writable_row(self, d):
+        seen = []
+
+        def record(v):
+            seen.append(v)
+            return [float(t) for t in v]
+
+        plain = PseudoContraction(map=record, kappa=0.0)
+        growing = PseudoContraction(map=record, kappa=0.0, asymptotic=True)
+        maps = [plain, plain, growing, plain, plain]
+        box = Box(lo=np.full(d, -1.0), hi=np.full(d, 1.0))
+        family = ProblemFamily.from_members(box, [], maps)
+        x = np.linspace(-0.5, 0.5, d)
+        rows = family.map_kernel(0, len(maps), 1, x)
+        np.testing.assert_array_equal(rows, np.tile(x, (len(maps), 1)))
+        assert len(seen) == len(maps)
+        for i, v in enumerate(seen):
+            assert v.shape == (d,) and v.dtype == np.float64 and v.flags.writeable
+            np.testing.assert_array_equal(v, x)
+            assert not np.shares_memory(v, x) and not np.shares_memory(v, rows)
+            assert not any(np.shares_memory(v, u) for u in seen[i + 1:])
+
     def test_members_that_write_to_their_point_reach_no_other(self):
         plain = PseudoContraction(map=_halve_in_place, kappa=0.0)
         growing = PseudoContraction(map=_halve_in_place, kappa=0.0, asymptotic=True)
