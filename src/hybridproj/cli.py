@@ -282,22 +282,17 @@ _SEQUENCES = {"constant": _constant, "inverse_offset": _inverse_offset}
 
 
 def _apply_schedule_overrides(sched: ParamSchedule, overrides: dict) -> ParamSchedule:
-    """Replace the schedule fields the config names.
-
-    ``"k"`` is the sequence of the pseudocontraction inequality, which the
-    cut slack uses; for cor4 that is the squared sequence.
-    """
-    unknown = set(overrides) - {"alpha", "beta", "r", "k", "omega", "b", "d", "e"}
+    """Replace the schedule fields the config names; ``k_n`` is the
+    family's own and cannot be overridden."""
+    unknown = set(overrides) - {"alpha", "beta", "r", "omega"}
     if unknown:
         raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
     updates: dict[str, Any] = {}
-    for name, field in (("alpha", "alpha_fn"), ("beta", "beta_fn"),
-                        ("r", "r_fn"), ("k", "k_fn")):
+    for name in ("alpha", "beta", "r"):
         if name in overrides:
-            updates[field] = _build(_SEQUENCES, overrides[name], name, "kind")
-    for name in ("omega", "b", "d", "e"):
-        if name in overrides:
-            updates[name] = _read(overrides, name)
+            updates[f"{name}_fn"] = _build(_SEQUENCES, overrides[name], name, "kind")
+    if "omega" in overrides:
+        updates["omega"] = _read(overrides, "omega")
     return replace(sched, **updates)
 
 

@@ -352,9 +352,9 @@ def _block(results: list, d: int, kind: str, lo: int) -> np.ndarray:
     ``d`` items, such as the one-element lists section4's mappings return,
     are read in one flat pass; other rows (floats, arrays) go through one
     array call. Results of mixed shapes (a float next to a 1-element array)
-    take a conversion per row. A result that does not hold ``d`` values
-    raises ``ValueError`` naming its member; it is never broadcast across
-    the row.
+    take a conversion per row. A result that does not hold ``d`` values, or
+    does not convert at all, raises ``ValueError`` naming its member; it is
+    never broadcast across the row.
     """
     n = len(results)
     try:
@@ -371,7 +371,10 @@ def _block(results: list, d: int, kind: str, lo: int) -> np.ndarray:
         return block.reshape(n, d)
     block = np.empty((n, d))
     for i, value in enumerate(results):
-        row = np.asarray(value, dtype=np.float64)
+        try:
+            row = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError) as err:  # a ragged or non-numeric result
+            raise ValueError(f"{kind} member {lo + i} returned {value!r}: {err}") from err
         if row.size != d:
             raise ValueError(f"{kind} member {lo + i} returned {row.size} values "
                              f"for a point with {d} coordinates")

@@ -337,10 +337,10 @@ def build_section4(n_geps: int, n_maps: int):
     """Construct the reference benchmark family at the given sizes.
 
     Returns ``(family, schedule, reference)`` where ``reference`` is the
-    known limit of the solver started at the anchor 1. The schedule uses
-    averaging weights ``1/(n+2)`` (shifted so the first weight already lies
-    in (0, 1)), the constant mapping relaxation equal to the family
-    pseudocontraction constant, and unit resolvent steps.
+    known limit of the solver started at the anchor 1. The schedule is
+    ``default_schedule(family)``: averaging weights ``1/(n+2)``, the mapping
+    relaxation ``kappa``, unit resolvent steps (every operator is zero) and
+    ``omega = 1``, the norm bound of the base ``[-1, 1]``.
     """
     spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
     base = Box(lo=[-1.0], hi=[1.0])
@@ -368,17 +368,7 @@ def build_section4(n_geps: int, n_maps: int):
         gep_bound=gep_bound,
         map_bound=map_bound,
     )
-    schedule = ParamSchedule(
-        alpha_fn=lambda n: 1.0 / (n + 2),
-        beta_fn=lambda n, _beta=spec.kappa: _beta,
-        r_fn=lambda n: 1.0,
-        k_fn=lambda n: 1.0,
-        omega=1.0,  # norm bound of the base [-1, 1]
-        b=0.5,
-        d=1.0,
-        e=1.0,
-    )
-    return family, schedule, spec.reference
+    return family, default_schedule(family), spec.reference
 
 
 def _norm_bound(base: BaseSet) -> float:
@@ -395,8 +385,8 @@ def default_schedule(family: ProblemFamily, *,
 
     Averaging weights are ``1/(n+2)``; the mapping relaxation is the family
     pseudocontraction constant; resolvent steps are the modulus (safely
-    inside ``(0, 2 * modulus)``) or 1 when every operator is zero; the
-    asymptotic sequence is the family's.
+    inside ``(0, 2 * modulus)``) or 1 when every operator is zero; ``omega``
+    is the base set's norm bound unless given.
     """
     beta = family.kappa
     r = 1.0 if math.isinf(family.alpha) else family.alpha
@@ -405,11 +395,7 @@ def default_schedule(family: ProblemFamily, *,
         alpha_fn=lambda n: 1.0 / (n + 2),
         beta_fn=lambda n: beta,
         r_fn=lambda n: r,
-        k_fn=family.k_seq,
         omega=omega_v,
-        b=0.5 * (beta + 1.0),
-        d=r,
-        e=r,
     )
 
 

@@ -56,47 +56,36 @@ SCHEDULE_PREFIX_CAP = 100_000
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """Control sequences of the outer loop and their admissibility bounds.
-
-    Requirements, checked on a finite prefix by :meth:`violations`:
-    the averaging weights satisfy ``0 < alpha_n < 1``; the mapping
-    relaxation satisfies ``kappa <= beta_n <= b < 1``; the resolvent steps
-    satisfy ``0 < d <= r_n <= e < 2 * alpha``; the asymptotic sequence stays
-    at or above one and the family's. ``omega`` bounds every solution's norm.
+    """The method's control sequences and ``omega``, a bound on every
+    solution's norm; ``kappa``, the modulus ``alpha`` and ``k_n`` are the
+    family's. :meth:`violations` checks ``0 < alpha_n < 1``,
+    ``kappa <= beta_n < 1`` and ``0 < r_n < 2 * alpha`` on a finite prefix,
+    whose extremes serve as the paper's bounds ``b``, ``d`` and ``e``.
     """
 
     alpha_fn: Callable[[int], float]
     beta_fn: Callable[[int], float]
     r_fn: Callable[[int], float]
-    k_fn: Callable[[int], float]
     omega: float
-    b: float
-    d: float
-    e: float
 
     def violations(self, kappa: float, ism_alpha: float, count: int,
-                   k_floor: Callable[[int], float] = lambda n: 1) -> list[str]:
+                   k_seq: Callable[[int], float] = lambda n: 1) -> list[str]:
         """Condition violations over iterations ``0 .. count-1`` (capped);
-        ``k_floor`` is the family's ``k_n``; a smaller one can cut off a solution."""
+        ``k_seq`` is the family's ``k_n``, which must stay at or above 1."""
         problems: list[str] = []
         if not 0 <= self.omega < math.inf:
             problems.append(f"omega={self.omega!r} must be nonnegative and finite")
-        if not (self.b < 1.0):
-            problems.append(f"b={self.b!r} must be below 1")
-        if self.b < kappa:
-            problems.append(f"b={self.b!r} must be at least kappa={kappa!r}")
-        if not (0.0 < self.d <= self.e):
-            problems.append(f"need 0 < d <= e, got d={self.d!r}, e={self.e!r}")
-        if math.isfinite(ism_alpha) and not (self.e < 2.0 * ism_alpha):
-            problems.append(
-                f"e={self.e!r} must stay below twice the modulus {ism_alpha!r}"
-            )
+        if math.isinf(ism_alpha):  # every operator is zero: no upper bound
+            step = (lambda v: 0.0 < v, "must be positive")
+        else:
+            step = (lambda v: 0.0 < v < 2.0 * ism_alpha,
+                    f"must be positive and below twice the modulus {ism_alpha!r}")
         prefixes = (
             ("alpha", self.alpha_fn, lambda v: 0.0 < v < 1.0, "outside (0, 1)"),
-            ("beta", self.beta_fn, lambda v: kappa <= v <= self.b,
-             f"outside [kappa={kappa!r}, b={self.b!r}]"),
-            ("r", self.r_fn, lambda v: self.d <= v <= self.e,
-             f"outside [d={self.d!r}, e={self.e!r}]"),
+            ("beta", self.beta_fn, lambda v: kappa <= v < 1.0,
+             f"outside [kappa={kappa!r}, 1)"),
+            ("r", self.r_fn, *step),
+            ("k", k_seq, lambda v: v >= 1, "below 1"),
         )
         for name, fn, admissible, bounds in prefixes:
             for n in range(min(count, SCHEDULE_PREFIX_CAP)):
@@ -104,12 +93,6 @@ class ParamSchedule:
                 if not admissible(value):
                     problems.append(f"{name}_{n}={value!r} {bounds}")
                     break
-        for n in range(min(count, SCHEDULE_PREFIX_CAP)):
-            value = self.k_fn(n)
-            floor = value if k_floor is self.k_fn else k_floor(n)  # each sequence once
-            if not (value >= 1 and value >= floor):
-                problems.append(f"k_{n}={value!r} below {max(1, floor)!r}")
-                break
         return problems
 
 
@@ -151,6 +134,10 @@ class SolverConfig:
 
     def __post_init__(self):
         # The only home of these ranges; a refusal names its field.
+        for key in ("max_iter", "workers", "projection_max_sweeps"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key!r}: must be an integer, got {value!r}")
         for key, holds, rule in (
             ("max_iter", self.max_iter >= 0, "at least 0"),
             ("workers", self.workers >= 1, "at least 1"),
@@ -322,7 +309,7 @@ def iterate(
         res_z = float(np.linalg.norm(z_far - x))
     t2 = time.perf_counter()
 
-    eps = cut_relaxation(sched.k_fn(n), x, sched.omega)
+    eps = cut_relaxation(problem.k_seq(n), x, sched.omega)
     state.nested.add_cut(halfspace_from_iterate(x, z_far, eps))
 
     try:

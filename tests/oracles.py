@@ -13,7 +13,9 @@ the benchmark's member constants as plain closed formulas, and
 scalar resolvent's root finder, and ``counting`` counts the profile calls
 either one makes. ``dykstra_reference`` is the nested-set projection loop
 as first written, one projection call, copy and norm per visit, frozen so
-that a faster loop can be held to its bits.
+that a faster loop can be held to its bits. ``declared_bound_violations``
+is the schedule rule with declared bounds ``b``, ``d`` and ``e``, frozen as
+the reference for the rule that takes them from the sequences themselves.
 """
 
 from __future__ import annotations
@@ -388,3 +390,35 @@ def dykstra_reference(nested, x0, tol: float, max_sweeps: int) -> np.ndarray:
         cuts=len(nested.cuts),
         sweeps=max_sweeps,
     )
+
+
+def declared_bound_violations(alpha_fn, beta_fn, r_fn, k_fn, omega, b, d, e,
+                              kappa, ism_alpha, count, k_floor=lambda n: 1,
+                              cap=100_000) -> list[str]:
+    """The schedule rule with declared bounds: ``0 < alpha_n < 1``,
+    ``kappa <= beta_n <= b < 1``, ``0 < d <= r_n <= e < 2 * ism_alpha`` (no
+    upper bound for an infinite modulus), ``k_n >= max(1, k_floor(n))`` and
+    a finite ``omega >= 0``, over the first ``min(count, cap)`` terms."""
+    problems = []
+    if not 0 <= omega < math.inf:
+        problems.append("omega")
+    if not b < 1.0:
+        problems.append("b below 1")
+    if b < kappa:
+        problems.append("b at least kappa")
+    if not 0.0 < d <= e:
+        problems.append("0 < d <= e")
+    if math.isfinite(ism_alpha) and not e < 2.0 * ism_alpha:
+        problems.append("e below twice the modulus")
+    prefixes = (
+        ("alpha", alpha_fn, lambda n, v: 0.0 < v < 1.0),
+        ("beta", beta_fn, lambda n, v: kappa <= v <= b),
+        ("r", r_fn, lambda n, v: d <= v <= e),
+        ("k", k_fn, lambda n, v: v >= 1 and v >= k_floor(n)),
+    )
+    for name, fn, admissible in prefixes:
+        for n in range(min(count, cap)):
+            if not admissible(n, fn(n)):
+                problems.append(f"{name}_{n}")
+                break
+    return problems

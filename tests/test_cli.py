@@ -162,6 +162,11 @@ class TestRunConfig:
             ({"seed": -1}, "seed"),
             ({"projection_tol": 0.0}, "projection_tol"),
             ({"projection_max_sweeps": 0}, "projection_max_sweeps"),
+            # Retired keys, with b-string above: b, d and e are the extremes
+            # of the sequences, and k_n is the family's.
+            ({"schedule": {"k": {"kind": "constant", "value": 1.5}}}, "k"),
+            ({"schedule": {"d": 1.0}}, "d"),
+            ({"schedule": {"e": 1.0}}, "e"),
         ],
         ids=[
             "x0-1.0", "x0-None", "max_iter-5", "workers-2", "projection_tol-x",
@@ -172,6 +177,7 @@ class TestRunConfig:
             "M-fraction", "N-float", "xi-string", "c-string", "hi-bool",
             "l-bool", "record_history-string", "out-number", "operators-object",
             "seed-negative", "projection_tol-zero", "projection_max_sweeps-zero",
+            "k-retired", "d-retired", "e-retired",
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, overrides, key):
@@ -388,20 +394,6 @@ class TestRun:
         assert summary["stop_reason"] == "tol_to_reference"
         assert summary["reference_gap"] <= 1e-6
 
-    def test_declared_k_relaxes_every_cut(self, tmp_path, capsys):
-        # The iterate stays at 1 and omega is 1 on section4, so every slack
-        # is (1.5 - 1) * (1 + 1)^2.
-        out = tmp_path / "relaxed"
-        data = small_benchmark_config(
-            schedule={"k": {"kind": "constant", "value": 1.5}}
-        )
-        code = main(["run", "--config", write_config(tmp_path, data),
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        with (out / "history.csv").open() as handle:
-            eps = [float(row["eps_n"]) for row in csv.DictReader(handle)]
-        assert eps == [2.0] * 30
-
     def test_empty_interval_solution_is_invalid_config(self, tmp_path, capsys):
         problem = dict(affine_vi_config()["problem"],
                        known_solution={"kind": "interval", "lo": 0.6, "hi": 0.2})
@@ -470,7 +462,7 @@ class TestValidate:
 
     def test_step_outside_modulus_window_reported(self, tmp_path, capsys):
         bad = affine_vi_config(
-            schedule={"r": {"kind": "constant", "value": 3.0}, "d": 3.0, "e": 3.0}
+            schedule={"r": {"kind": "constant", "value": 3.0}}
         )
         code = main(["validate", "--config", write_config(tmp_path, bad)])
         assert code == EXIT_VALIDATION_FAILURE
@@ -494,7 +486,7 @@ class TestValidate:
     def test_kernel_error_is_solver_failure(self, tmp_path, capsys):
         # The closed-form section4 kernel takes unit steps only, as in run.
         data = small_benchmark_config(
-            schedule={"r": {"kind": "constant", "value": 0.5}, "d": 0.5, "e": 0.5}
+            schedule={"r": {"kind": "constant", "value": 0.5}}
         )
         cfg = write_config(tmp_path, data)
         assert main(["validate", "--config", cfg]) == EXIT_SOLVER_FAILURE

@@ -631,6 +631,25 @@ class TestProblemFamily:
         with pytest.raises(ValueError, match="map member 1 returned 4 values"):
             family.map_kernel(0, 2, 1, x)
 
+    def test_ragged_results_name_their_member(self):
+        # A ragged row fails numpy's conversion itself; the block names the
+        # member behind it instead of passing numpy's message on alone.
+        box = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+        x = np.array([0.4, -0.8])
+        ragged = PseudoContraction(map=lambda v: [[0.1, 0.2], 0.3], kappa=0.0)
+        family = ProblemFamily.from_members(box, [], [identity_map()] * 2 + [ragged])
+        with pytest.raises(ValueError, match=r"map member 2 returned \[\[0.1, 0.2\], 0.3\]"):
+            family.map_kernel(0, 3, 1, x)
+
+        class Ragged(operators.Bifunction):
+            def resolve(self, r, w, base, tol):
+                return [float(w[0]), [float(w[1])]]
+
+        geps = [(ZeroBifunction(), zero_operator()), (Ragged(), zero_operator())]
+        family = ProblemFamily.from_members(box, geps, [])
+        with pytest.raises(ValueError, match="equilibrium member 1 returned"):
+            family.gep_kernel(0, 2, 1.0, x)
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_every_plain_member_gets_its_own_writable_row(self, d):
         seen = []

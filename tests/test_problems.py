@@ -439,9 +439,8 @@ class TestPresets:
             "cor4", base=base, bifunctions=[ZeroBifunction()], maps=[drift]
         )
         assert sched.beta_fn(5) == 0.0
-        # The family sequence is squared, and the schedule slack uses it.
+        # The family sequence is squared (the cuts take it from the family).
         assert family.k_seq(0) == 1.5 * 1.5
-        assert sched.k_fn is family.k_seq
 
     def test_cor4_slack_known_answer(self):
         # eps_n = (max_i k_i(n)^2 - 1) * (|x_n| + omega)^2; the second map
@@ -471,7 +470,7 @@ class TestPresets:
     def test_cor4_constant_below_one_reported(self, k):
         drift = PseudoContraction(map=lambda v: v, kappa=0.0, k_seq=lambda n: k)
         family, _, sched = preset("cor4", base=Box(lo=[-1.0], hi=[1.0]), maps=[drift])
-        issues = sched.violations(family.kappa, family.alpha, 5)
+        issues = sched.violations(family.kappa, family.alpha, 5, family.k_seq)
         assert any(v.startswith("k_0=") and v.endswith("below 1") for v in issues)
 
     def test_cor4_evaluates_a_shared_sequence_once_per_term(self):

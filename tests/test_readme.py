@@ -4,7 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from hybridproj.cli import RunConfig
+from hybridproj import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,6 +24,9 @@ def test_library_quick_start_runs(capsys):
 
 
 def test_config_schema_parses():
+    # The run gate too: a stale key or an inadmissible value fails here.
     schema = re.sub(r"//.*", "", fenced_block("### Config schema", "jsonc"))
-    config = RunConfig.from_dict(json.loads(schema))
+    config = cli.RunConfig.from_dict(json.loads(schema))
+    built = cli.build_inputs(config, cli.resolve_workers(None, config))
     assert config.problem["preset"] == "section4"
+    assert built.family.n_geps == 2000 and built.family.n_maps == 3000

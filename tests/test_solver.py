@@ -43,22 +43,34 @@ from hybridproj.solver import (
     iterate,
     solve,
 )
-from oracles import reference_trajectory, select_furthest
+from oracles import declared_bound_violations, reference_trajectory, select_furthest
 
 BASE = Box(lo=[-1.0], hi=[1.0])
 
 
-def flat_schedule(beta=0.0, r=1.0, k=1.0, omega=1.0, b=0.5, d=None, e=None):
+def flat_schedule(beta=0.0, r=1.0, omega=1.0):
     return ParamSchedule(
         alpha_fn=lambda n: 1.0 / (n + 2),
         beta_fn=lambda n: beta,
         r_fn=lambda n: r,
-        k_fn=lambda n: k,
         omega=omega,
-        b=b,
-        d=r if d is None else d,
-        e=r if e is None else e,
     )
+
+
+def seeded_sequence(rng, lo, hi, edges, count):
+    """A constant in ``[lo, hi)`` or ``lo + (hi - lo) / (n + c)``; half of
+    them take one of ``edges`` at a seeded index, which may lie past the
+    first ``count`` terms."""
+    if rng.random() < 0.5:
+        c = float(rng.uniform(lo, hi))
+        base = lambda n: c  # noqa: E731
+    else:
+        c = int(rng.integers(2, 6))
+        base = lambda n: lo + (hi - lo) / (n + c)  # noqa: E731
+    if rng.random() < 0.5:
+        return base
+    m, edge = int(rng.integers(count + 3)), float(rng.choice(edges))
+    return lambda n: edge if n == m else base(n)
 
 
 def initial_state(x0, base=BASE):
@@ -132,29 +144,71 @@ class TestScheduleValidation:
         assert any("alpha_0" in s for s in sched.violations(0.0, math.inf, 5))
 
     def test_k_below_one(self):
-        sched = flat_schedule(k=0.5)
-        assert any("k_0" in s for s in sched.violations(0.0, math.inf, 5))
+        issues = flat_schedule().violations(0.0, math.inf, 5, lambda n: 0.5)
+        assert issues == ["k_0=0.5 below 1"]
 
     def test_omega_must_be_finite(self):
         sched = flat_schedule(omega=math.inf)
         assert any("omega" in s for s in sched.violations(0.0, math.inf, 5))
 
-    def test_k_below_the_family_sequence_refused(self):
-        # cor4 squares the map's k_n = 1.2^n. With k_n = 1 instead, the cut of
-        # iteration 1 excludes the solution 0 and iteration 2 finds no point.
+    def test_cut_slack_is_the_family_sequence(self):
+        # cor4 squares the map's k_n = 1.2^n, and every cut takes the square:
+        # with k_n = 1 the cut of iteration 1 would exclude the solution 0.
+        k_map = lambda n: 1.2 ** n if n else 1.0  # noqa: E731
         family, _, sched = preset(
             "cor4", base=BASE, bifunctions=[ZeroBifunction()],
             maps=[PseudoContraction(map=lambda v: np.clip(-1.2 * v, -1.0, 1.0),
-                                    kappa=0.0, k_seq=lambda n: 1.2 ** n if n else 1.0)],
+                                    kappa=0.0, k_seq=k_map)],
         )
-        cfg = SolverConfig(max_iter=4)
-        assert solve(family, sched, cfg, [0.9]).iterations == 4
-        low = replace(sched, k_fn=lambda n: 1.0)
-        assert low.violations(family.kappa, family.alpha, 4) == []
-        [violation] = low.violations(family.kappa, family.alpha, 4, family.k_seq)
-        assert violation.startswith("k_1=1.0 below")
-        with pytest.raises(ValueError, match="inadmissible schedule: k_1=1.0"):
-            solve(family, low, cfg, [0.9])
+        report = solve(family, sched, SolverConfig(max_iter=4, record_history=True), [0.9])
+        assert report.iterations == 4
+        for rec in report.history:
+            reach = abs(float(rec.x_prev[0])) + sched.omega
+            assert rec.eps == (k_map(rec.n) * k_map(rec.n) - 1.0) * reach * reach
+        assert report.history[1].eps > 0.0
+
+    def test_family_sequence_below_one_refused(self):
+        family, _, sched = preset(
+            "cor4", base=BASE, bifunctions=[ZeroBifunction()],
+            maps=[PseudoContraction(map=lambda v: 0.5 * v, kappa=0.0,
+                                    k_seq=lambda n: 1.0 if n < 2 else 0.9)],
+        )
+        assert solve(family, sched, SolverConfig(max_iter=2), [0.9]).iterations == 2
+        with pytest.raises(ValueError, match=r"inadmissible schedule: k_2=0.81 below 1"):
+            solve(family, sched, SolverConfig(max_iter=3), [0.9])
+
+    def test_derived_bounds_match_declared_bound_rule(self):
+        # b, d and e set to the prefix's own extremes make the rule with
+        # declared bounds flag exactly what the derived rule flags.
+        rng = np.random.default_rng(2016)
+        groups = {"omega": "omega", "b below 1": "beta", "b at least kappa": "beta",
+                  "0 < d <= e": "r", "e below twice the modulus": "r"}
+        flagged = 0
+        for _ in range(400):
+            count = int(rng.integers(1, 30))
+            kappa = float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+            ism_alpha = float(rng.choice([math.inf, rng.uniform(0.1, 3.0)]))
+            top = 2.0 * ism_alpha if math.isfinite(ism_alpha) else 10.0
+            sched = ParamSchedule(
+                alpha_fn=seeded_sequence(rng, 0.0, 1.0, [0.0, 1.0, 0.5], count),
+                beta_fn=seeded_sequence(
+                    rng, kappa, 1.0, [kappa, 1.0, np.nextafter(kappa, -1.0)], count),
+                r_fn=seeded_sequence(
+                    rng, 0.0, top, [0.0, 2.0 * ism_alpha, np.nextafter(top, 0.0)], count),
+                omega=float(rng.choice([1.0, 1.0, 0.0, math.inf, -1.0])),
+            )
+            k_seq = seeded_sequence(rng, 1.0, 3.0, [1.0, 0.5, np.nextafter(1.0, 0.0)],
+                                    count)
+            betas = [sched.beta_fn(n) for n in range(count)]
+            steps = [sched.r_fn(n) for n in range(count)]
+            frozen = declared_bound_violations(
+                sched.alpha_fn, sched.beta_fn, sched.r_fn, k_seq, sched.omega,
+                max(betas), min(steps), max(steps), kappa, ism_alpha, count, k_seq)
+            derived = sched.violations(kappa, ism_alpha, count, k_seq)
+            assert ({groups.get(v, v.split("_")[0]) for v in frozen}
+                    == {v.split("=")[0].split("_")[0] for v in derived})
+            flagged += bool(derived)
+        assert 100 < flagged < 350
 
 
 class TestIterate:
@@ -490,6 +544,22 @@ class TestSolve:
         cfg = SolverConfig(stop=ToleranceToReference(reference=[0.5], tol=1e-6))
         with pytest.raises(ValueError, match="stop reference has dimension 1; "):
             solve(family, flat_schedule(), cfg, [0.6, -0.5])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_iter", 2.5), ("max_iter", True), ("workers", 2.5),
+         ("workers", math.inf), ("projection_max_sweeps", 10.0),
+         ("projection_max_sweeps", False), ("workers", np.float64(2.0))],
+    )
+    def test_non_integer_counts_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"'{key}': must be an integer, got"):
+            SolverConfig(**{key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        family, sched, _ = build_section4(3, 3)
+        cfg = SolverConfig(max_iter=np.int64(3), workers=np.int32(2),
+                           projection_max_sweeps=np.int64(50))
+        assert solve(family, sched, cfg, [1.0]).iterations == 3
 
     @pytest.mark.parametrize(
         "settings",
