@@ -175,13 +175,12 @@ class Ball(BaseSet):
 class CustomSet(BaseSet):
     """Closed convex set given by a user projection oracle.
 
-    The oracle must be an exact metric projection; membership defaults to
-    checking that the oracle fixes the point.
+    The oracle must be an exact metric projection; a point is a member when
+    the oracle fixes it, within ``tol``.
     """
 
     projection: Callable[[np.ndarray], np.ndarray]
     dimension: int
-    membership: Callable[[np.ndarray, float], bool] | None = None
 
     @property
     def dim(self) -> int:
@@ -191,8 +190,6 @@ class CustomSet(BaseSet):
         return np.asarray(self.projection(p), dtype=np.float64)
 
     def contains(self, p: np.ndarray, tol: float = DEFAULT_CONTAINS_TOL) -> bool:
-        if self.membership is not None:
-            return bool(self.membership(p, tol))
         return float(np.linalg.norm(p - self.project(p))) <= tol
 
 
@@ -254,6 +251,10 @@ class NestedSet:
 
     base: BaseSet
     cuts: list[Halfspace] = field(default_factory=list)
+
+    def __post_init__(self):
+        if any(cut.normal.size != self.dim for cut in self.cuts):
+            raise ValueError("cut dimension does not match the base set")
 
     @property
     def dim(self) -> int:

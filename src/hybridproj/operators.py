@@ -45,7 +45,6 @@ __all__ = [
     "map_chunk_evaluator",
 ]
 
-DEFAULT_RESOLVENT_TOL = 1e-12
 # Root-finding steps allowed per scalar resolvent. The safeguard in
 # resolvent_scalar halves the bracket at least once every three steps, so
 # this matches a budget of 200 plain bisection halvings.
@@ -68,21 +67,21 @@ class ResolventFailure(RuntimeError):
 class Bifunction:
     """Equilibrium bifunction presented through its resolvent.
 
-    Construction of a concrete variant declares that the usual equilibrium
-    conditions hold (vanishing diagonal, monotonicity, upper hemicontinuity
-    in the first argument, convex lower-semicontinuous second argument).
-    Only the scalar variant is audited at runtime; see
-    :func:`verify_family`.
+    ``resolve(r, w, base)`` returns ``T_r(w)``, all the method asks of it.
+    A concrete variant declares that the usual equilibrium conditions hold
+    (vanishing diagonal, monotonicity, upper hemicontinuity in the first
+    argument, convex lower-semicontinuous second argument). Only the scalar
+    variant is audited at runtime; see :func:`verify_family`.
     """
 
-    def resolve(self, r: float, w: np.ndarray, base: BaseSet, tol: float) -> np.ndarray:
+    def resolve(self, r: float, w: np.ndarray, base: BaseSet) -> np.ndarray:
         raise NotImplementedError
 
 
 class ZeroBifunction(Bifunction):
     """The identically zero bifunction; its resolvent is the base projection."""
 
-    def resolve(self, r: float, w: np.ndarray, base: BaseSet, tol: float) -> np.ndarray:
+    def resolve(self, r: float, w: np.ndarray, base: BaseSet) -> np.ndarray:
         return base.project(w)
 
 
@@ -105,10 +104,10 @@ class ScalarMonotoneBifunction(Bifunction):
         if not (self.lo < self.hi):
             raise ValueError("bifunction interval requires lo < hi")
 
-    def resolve(self, r: float, w: np.ndarray, base: BaseSet, tol: float) -> np.ndarray:
+    def resolve(self, r: float, w: np.ndarray, base: BaseSet) -> np.ndarray:
         if w.size != 1:
             raise ValueError("scalar bifunction requires a 1-D problem")
-        z = resolvent_scalar(self.profile, r, float(w[0]), self.lo, self.hi, tol)
+        z = resolvent_scalar(self.profile, r, float(w[0]), self.lo, self.hi)
         return np.array([z])
 
 
@@ -122,7 +121,7 @@ class CustomBifunction(Bifunction):
 
     oracle: Callable[[float, np.ndarray], np.ndarray]
 
-    def resolve(self, r: float, w: np.ndarray, base: BaseSet, tol: float) -> np.ndarray:
+    def resolve(self, r: float, w: np.ndarray, base: BaseSet) -> np.ndarray:
         return as_vector(self.oracle(r, w))
 
 
@@ -192,7 +191,7 @@ def identity_map() -> PseudoContraction:
 #   map kernel: (lo, hi, nominal_power, point) -> mapped points, shape (hi - lo, d);
 # a map kernel applies each member at its effective power (plain members
 # always 1). Returned arrays are new and owned by the caller. Each kernel
-# has a moved-prefix reporter taking the same arguments without lo and hi:
+# may have a moved-prefix reporter taking the same arguments without lo and hi:
 # it returns a k such that every member from k on leaves its input
 # unchanged (T_r(x - r A x) = x for a gep member, S_j(point) = point for a
 # mapping), and the kernel is called only for members below k.
@@ -211,11 +210,11 @@ class ProblemFamily:
     Fields ``alpha``, ``kappa`` and ``k_seq`` are the family-wide reductions
     (min modulus, max constant, pointwise max sequence over the asymptotic
     mappings). ``gep_kernel`` and ``map_kernel`` evaluate chunks of members;
-    ``gep_moved`` and ``map_moved`` report their moved prefixes, and by
-    default count every member as moved. Use :meth:`from_members` to compute
-    all of these from member objects; builders of very large families pass
-    exact analytic values and closed-form kernels instead, so that members
-    never need to be materialized.
+    ``gep_moved`` and ``map_moved`` report their moved prefixes; left unset
+    (``None``), they count every member as moved. Use :meth:`from_members`
+    to compute all of these from member objects; builders of very large
+    families pass exact analytic values and closed-form kernels instead, so
+    that members never need to be materialized.
 
     The optional hooks ``gep_bound(lo, hi, r, x)`` and
     ``map_bound(lo, hi, power, point, reference)`` take the start and stop
@@ -246,10 +245,6 @@ class ProblemFamily:
     def __post_init__(self):
         if len(self.geps) == 0 and len(self.maps) == 0:
             raise ValueError("a problem family needs at least one member")
-        if self.gep_moved is None:
-            object.__setattr__(self, "gep_moved", lambda r, x, k=len(self.geps): k)
-        if self.map_moved is None:
-            object.__setattr__(self, "map_moved", lambda power, v, k=len(self.maps): k)
         if not self.alpha > 0:
             raise ValueError("family modulus must be positive")
         if not (0.0 <= self.kappa < 1.0):
@@ -305,8 +300,7 @@ class ProblemFamily:
         # cores behind resolvent and apply_power, and call a plain map once,
         # without the power loop.
         def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
-            tol = DEFAULT_RESOLVENT_TOL
-            _check_step(r, tol)
+            _check_step(r)
             xv = as_vector(x)
             # A scalar bifunction behind a zero operator gets the call its
             # resolve makes, on the float coordinate; the exact type test
@@ -317,9 +311,9 @@ class ProblemFamily:
             for f, A in geps[lo:hi]:
                 if (scalar and type(f) is ScalarMonotoneBifunction
                         and A.map is np.zeros_like):
-                    rows.append(resolvent_scalar(f.profile, r, x0, f.lo, f.hi, tol))
+                    rows.append(resolvent_scalar(f.profile, r, x0, f.lo, f.hi))
                 else:
-                    rows.append(_resolve(f, A, r, xv, base, tol))
+                    rows.append(_resolve(f, A, r, xv, base))
             return _block(rows, xv.size, "equilibrium", lo)
 
         def map_kernel(
@@ -382,43 +376,34 @@ def _block(results: list, d: int, kind: str, lo: int) -> np.ndarray:
     return block
 
 
-def _check_step(r: float, tol: float) -> None:
+def _check_step(r: float) -> None:
     if not r > 0:
         raise ValueError("resolvent step size must be positive")
-    if not tol > 0:
-        raise ValueError("resolvent tolerance must be positive")
 
 
-def _resolve(
-    f: Bifunction, A: IsmOperator, r: float, xv: np.ndarray, base: BaseSet, tol: float
-) -> np.ndarray:
+def _resolve(f: Bifunction, A: IsmOperator, r: float, xv: np.ndarray,
+             base: BaseSet) -> np.ndarray:
     # The forward step of a zero operator is a copy: for finite xv and r,
     # xv - r * 0 has the same bits as xv. The operator and the bifunction
     # each see a fresh array, so a member that writes to its input cannot
     # reach the caller or the next member.
     if A.map is np.zeros_like and r < math.inf:
-        return f.resolve(r, xv.copy(), base, tol)
-    return f.resolve(r, xv - r * A(xv.copy()), base, tol)
+        return f.resolve(r, xv.copy(), base)
+    return f.resolve(r, xv - r * A(xv.copy()), base)
 
 
-def resolvent(
-    f: Bifunction,
-    A: IsmOperator,
-    r: float,
-    x,
-    base: BaseSet,
-    tol: float = DEFAULT_RESOLVENT_TOL,
-) -> np.ndarray:
+def resolvent(f: Bifunction, A: IsmOperator, r: float, x, base: BaseSet) -> np.ndarray:
     """Resolvent step ``T_r(x - r * A(x))`` of one bifunction/operator pair.
 
     With the zero bifunction this reduces to the base projection of the
     forward step; with a zero operator it is the pure equilibrium resolvent.
     A zero operator (``map`` is ``np.zeros_like``, as :func:`zero_operator`
     builds it) skips the forward-step arithmetic and hands the bifunction a
-    copy of ``x``; the result is the same bits, and never ``x`` itself.
+    copy of ``x``; the result is the same bits, and never ``x`` itself. The
+    bifunction sets the accuracy (a scalar one: :func:`resolvent_scalar`'s).
     """
-    _check_step(r, tol)
-    return _resolve(f, A, r, as_vector(x), base, tol)
+    _check_step(r)
+    return _resolve(f, A, r, as_vector(x), base)
 
 
 def resolvent_scalar(
@@ -427,7 +412,7 @@ def resolvent_scalar(
     x: float,
     lo: float,
     hi: float,
-    tol: float = DEFAULT_RESOLVENT_TOL,
+    tol: float = 1e-12,
 ) -> float:
     """Solve ``r * profile(z) + z = x`` on ``[lo, hi]`` by safeguarded
     Illinois root finding.

@@ -170,6 +170,9 @@ def furthest_candidate(
     if count <= 0:
         raise ValueError("candidate family must be nonempty")
     moved = count if moved is None else moved
+    if isinstance(moved, bool) or not isinstance(moved, (int, np.integer)):
+        raise ValueError(f"moved prefix {moved!r} is not an integer")
+    moved = int(moved)
     if not 0 <= moved <= count:
         raise ValueError(f"moved prefix {moved} lies outside 0..{count}")
     if moved < count:

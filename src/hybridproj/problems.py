@@ -152,19 +152,34 @@ def section4_map(c: float) -> PseudoContraction:
     return PseudoContraction(map=mapping, kappa=1.0 - 1.0 / c)
 
 
+# Error of np.arctan assumed by the resolvent block bound, in ulps of the
+# exact value. It is an assumption, not a proof: numpy's SIMD and scalar
+# loops were measured within 1 ulp of math.atan on [0, 2] (numpy 2.4,
+# x86-64 with AVX-512), and tests/test_problems.py checks that they stay
+# within ARCTAN_ULPS - 1 of it, math.atan being within 1 ulp of exact.
+ARCTAN_ULPS = 4
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class Section4Spec:
-    """Sizes and derived constants of the reference benchmark family.
+    """Sizes, derived constants and family hooks of the reference benchmark.
 
     Member constants are closed forms of the member index, so the family
-    holds no array of them: its kernels build the thresholds and
-    coefficients of a block when they evaluate it.
+    holds no array of them. Its kernels apply one row function per kind
+    (``resolvents_at``, ``maps_at``) to a block, its bounds to a block's
+    two end rows.
     """
 
     n_geps: int
     n_maps: int
 
     def __post_init__(self):
+        for key in ("n_geps", "n_maps"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key!r}: must be an integer, got {value!r}")
         if self.n_geps < 1 or self.n_maps < 1:
             raise ValueError("benchmark needs at least one member of each kind")
 
@@ -215,19 +230,21 @@ class Section4Spec:
     @property
     def coefficients(self) -> np.ndarray:
         """All ``M`` coefficients; the family itself never builds them."""
-        return self.coefficient_block(0, self.n_maps)
+        return self.coefficients_at(np.arange(self.n_maps))
 
-    def coefficient_block(self, lo: int, hi: int) -> np.ndarray:
-        """Coefficients ``2 - j / (M + 1)`` of members ``lo..hi-1``.
+    def coefficients_at(self, indices) -> np.ndarray:
+        """Coefficients ``2 - (j + 1) / (M + 1)`` of members ``indices``, an
+        index or an array of them.
 
-        Built in place like the thresholds. An entry depends on its index
-        alone, so every block split gives the same bits. The map kernel
-        builds them per block rather than keep 24 MB alive at M = 3e6, as
-        the resolvent kernel does with the 16 MB of thresholds at N = 2e6.
+        Built in place like the thresholds, with the same bits at any set of
+        indices. Rounding is symmetric in sign, so dividing by ``-(M + 1)``
+        and adding 2 gives the bits of the formula. The map kernel builds
+        them per block rather than keep 24 MB alive at M = 3e6, as the
+        resolvent kernel does with the 16 MB of thresholds.
         """
-        c = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        c /= self.n_maps + 1
-        np.subtract(2.0, c, out=c)
+        c = np.add(indices, 1.0, dtype=np.float64)
+        c /= -(self.n_maps + 1)
+        c += 2.0
         return c
 
     @property
@@ -240,28 +257,33 @@ class Section4Spec:
         """Projection of the anchor 1 onto the solution interval."""
         return float(self.thresholds_at(0))
 
+    def resolvents_at(self, indices, point: float) -> np.ndarray:
+        """Rows ``xi + arctan(point - xi)`` of members that move ``point``."""
+        xi = self.thresholds_at(indices)
+        y = point - xi
+        np.arctan(y, out=y)
+        y += xi
+        return y
 
-# Error of np.arctan assumed by the resolvent block bound, in ulps of the
-# exact value. It is an assumption, not a proof: numpy's SIMD and scalar
-# loops were measured within 1 ulp of math.atan on [0, 2] (numpy 2.4,
-# x86-64 with AVX-512), and tests/test_problems.py checks that they stay
-# within ARCTAN_ULPS - 1 of it, math.atan being within 1 ulp of exact.
-ARCTAN_ULPS = 4
+    def maps_at(self, indices, point: float) -> np.ndarray:
+        """Rows ``point - c * point^2`` of members that move ``point``."""
+        s = self.coefficients_at(indices)
+        s *= -point * point
+        s += point
+        return s
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _section4_kernels(spec: Section4Spec):
-    def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
+    def gep_kernel(self, lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
         if r != 1.0:
             raise ValueError("closed-form benchmark kernel requires unit step r=1")
-        xi = spec.thresholds_at(np.arange(lo, hi))
-        moved = float(x[0]) - xi
-        np.arctan(moved, out=moved)
-        moved += xi
-        return moved.reshape(-1, 1)
+        return self.resolvents_at(np.arange(lo, hi), float(x[0])).reshape(-1, 1)
 
-    def gep_bound(lo: np.ndarray, hi: np.ndarray, r: float, x: np.ndarray) -> np.ndarray:
+    def gep_moved(self, r: float, x: np.ndarray) -> int:
+        # Thresholds ascend, so the members that fix the point (xi > point)
+        # form a suffix of the family.
+        return self.count_at_most(float(x[0]))
+
+    def gep_bound(self, lo: np.ndarray, hi: np.ndarray, r: float,
+                  x: np.ndarray) -> np.ndarray:
         # Row i of a moved block is y_i = arctan(u_i) + xi_i with
         # u_i = x - xi_i in [0, 2], and in exact arithmetic
         # |y_i - x| = g(u_i) = u_i - arctan(u_i), which falls as i grows
@@ -284,10 +306,7 @@ def _section4_kernels(spec: Section4Spec):
         if r != 1.0:
             raise ValueError("closed-form benchmark kernel requires unit step r=1")
         point = float(x[0])
-        xi = spec.thresholds_at(np.stack((lo, hi - 1)))
-        ends = point - xi
-        np.arctan(ends, out=ends)
-        ends += xi
+        ends = self.resolvents_at(np.stack((lo, hi - 1)), point)
         ends -= point
         np.square(ends, out=ends)
         reach = np.sqrt(ends.max(axis=0))
@@ -296,41 +315,25 @@ def _section4_kernels(spec: Section4Spec):
         reach *= 1.0 + 8.0 * _EPS
         return reach
 
-    def gep_moved(r: float, x: np.ndarray) -> int:
-        # Thresholds ascend, so the members that fix the point (xi > point)
-        # form a suffix of the family.
-        return spec.count_at_most(float(x[0]))
-
-    def map_kernel(lo: int, hi: int, power: int, v: np.ndarray) -> np.ndarray:
+    def map_kernel(self, lo: int, hi: int, power: int, v: np.ndarray) -> np.ndarray:
         # Members are plain pseudocontractions: effective power is one.
-        point = float(v[0])
-        s = spec.coefficient_block(lo, hi)
-        s *= -point * point
-        s += point
-        return s.reshape(-1, 1)
+        return self.maps_at(np.arange(lo, hi), float(v[0])).reshape(-1, 1)
 
-    def map_moved(power: int, v: np.ndarray) -> int:
+    def map_moved(self, power: int, v: np.ndarray) -> int:
         # Every member fixes a negative point.
-        return 0 if float(v[0]) < 0.0 else spec.n_maps
+        return 0 if float(v[0]) < 0.0 else self.n_maps
 
-    def map_bound(lo: np.ndarray, hi: np.ndarray, power: int, v: np.ndarray,
+    def map_bound(self, lo: np.ndarray, hi: np.ndarray, power: int, v: np.ndarray,
                   reference: np.ndarray) -> np.ndarray:
-        # Exact: each step of the kernel is monotone in j (c_j falls, -p*p
-        # is not positive, and IEEE rounding is monotone), so the rows and
-        # their differences to the reference are monotone, and a block's
-        # largest squared distance sits at one of its end rows. The end rows
-        # are computed with the kernel's own ufuncs, so they are its bits.
-        point = float(v[0])
-        s = np.stack((lo, hi - 1)) + 1.0
-        s /= spec.n_maps + 1
-        np.subtract(2.0, s, out=s)
-        s *= -point * point
-        s += point
+        # Exact: each step of the row function is monotone in j (c_j falls,
+        # -p*p is not positive, and IEEE rounding is monotone), so the rows
+        # and their differences to the reference are monotone, and a block's
+        # largest squared distance sits at one of its end rows, which carry
+        # the kernel's bits.
+        s = self.maps_at(np.stack((lo, hi - 1)), float(v[0]))
         s -= float(reference[0])
         np.square(s, out=s)
         return s.max(axis=0)
-
-    return gep_kernel, gep_moved, gep_bound, map_kernel, map_moved, map_bound
 
 
 def build_section4(n_geps: int, n_maps: int):
@@ -344,14 +347,12 @@ def build_section4(n_geps: int, n_maps: int):
     """
     spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
     base = Box(lo=[-1.0], hi=[1.0])
-    gep_kernel, gep_moved, gep_bound, map_kernel, map_moved, map_bound = (
-        _section4_kernels(spec))
 
     def gep_member(i: int):
         return (section4_bifunction(float(spec.thresholds_at(i))), zero_operator())
 
     def map_member(j: int):
-        return section4_map(float(spec.coefficient_block(j, j + 1)[0]))
+        return section4_map(float(spec.coefficients_at(j)))
 
     family = ProblemFamily(
         base=base,
@@ -360,13 +361,13 @@ def build_section4(n_geps: int, n_maps: int):
         alpha=math.inf,
         kappa=spec.kappa,
         k_seq=lambda n: 1.0,
-        gep_kernel=gep_kernel,
-        map_kernel=map_kernel,
+        gep_kernel=spec.gep_kernel,
+        map_kernel=spec.map_kernel,
         known_solution=IntervalSolution(lo=-1.0, hi=spec.reference),
-        gep_moved=gep_moved,
-        map_moved=map_moved,
-        gep_bound=gep_bound,
-        map_bound=map_bound,
+        gep_moved=spec.gep_moved,
+        map_moved=spec.map_moved,
+        gep_bound=spec.gep_bound,
+        map_bound=spec.map_bound,
     )
     return family, default_schedule(family), spec.reference
 

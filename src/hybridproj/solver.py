@@ -247,10 +247,10 @@ def resolvent_phase(problem: ProblemFamily, r: float, x: np.ndarray,
     pairs, ``x`` itself at index -1."""
     if not problem.n_geps:
         return Furthest(-1, x, 0.0)
-    hook = problem.gep_bound
+    hook, moved = problem.gep_bound, problem.gep_moved
     return furthest_candidate(gep_chunk_evaluator(problem, r, x), problem.n_geps, x,
                               fixed=x, pool=pool, workers=workers,
-                              moved=problem.gep_moved(r, x),
+                              moved=moved and moved(r, x),
                               bound=hook and (lambda lo, hi: hook(lo, hi, r, x)))
 
 
@@ -261,10 +261,10 @@ def mapping_phase(problem: ProblemFamily, n: int, y: np.ndarray, reference: np.n
     mappings, ``y`` itself at index -1."""
     if not problem.n_maps:
         return Furthest(-1, y, float(squared_distances(y[np.newaxis], reference)[0]))
-    hook = problem.map_bound
+    hook, moved = problem.map_bound, problem.map_moved
     return furthest_candidate(map_chunk_evaluator(problem, n, y), problem.n_maps,
                               reference, fixed=y, pool=pool, workers=workers,
-                              moved=problem.map_moved(n, y),
+                              moved=moved and moved(n, y),
                               bound=hook and (lambda lo, hi: hook(lo, hi, n, y, reference)))
 
 

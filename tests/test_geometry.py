@@ -108,6 +108,14 @@ class TestContains:
         with pytest.raises(ValueError):
             nested.add_cut(Halfspace(normal=np.array([1.0, 1.0]), offset=0.0))
 
+    def test_constructor_cuts_dimension_checked(self):
+        # Checked like add_cut, rather than failing inside a projection.
+        fits = halfspace_from_iterate([1.0], [0.0])
+        wide = Halfspace(normal=np.array([1.0, 1.0]), offset=0.0)
+        assert contains(NestedSet(base=box1d(), cuts=[fits]), [0.5])
+        with pytest.raises(ValueError, match="cut dimension does not match the base set"):
+            NestedSet(base=box1d(), cuts=[fits, wide])
+
 
 class TestProjectNested:
     def test_no_cuts_is_base_projection(self):

@@ -642,7 +642,7 @@ class TestProblemFamily:
             family.map_kernel(0, 3, 1, x)
 
         class Ragged(operators.Bifunction):
-            def resolve(self, r, w, base, tol):
+            def resolve(self, r, w, base):
                 return [float(w[0]), [float(w[1])]]
 
         geps = [(ZeroBifunction(), zero_operator()), (Ragged(), zero_operator())]
@@ -714,6 +714,20 @@ class TestProblemFamily:
         with pytest.raises(ValueError):
             ProblemFamily.from_members(BASE, [], [])
 
+    def test_unset_moved_prefix_reporters_stay_none(self):
+        # The reduction reads None as "every member moved", as it reads an
+        # unset bound as "evaluate every block".
+        members = ProblemFamily.from_members(
+            BASE, [(ZeroBifunction(), zero_operator())], [identity_map()]
+        )
+        direct = ProblemFamily(
+            base=BASE, geps=members.geps, maps=members.maps, alpha=math.inf,
+            kappa=0.0, k_seq=lambda n: 1.0, gep_kernel=members.gep_kernel,
+            map_kernel=members.map_kernel,
+        )
+        for family in (members, direct):
+            assert family.gep_moved is None and family.map_moved is None
+
     def test_zero_operator_has_infinite_modulus(self):
         assert math.isinf(zero_operator().alpha)
 
@@ -723,9 +737,9 @@ def _count_resolve_calls(monkeypatch):
     calls = []
     general = operators._resolve
 
-    def counted(f, A, r, xv, base, tol):
+    def counted(f, A, r, xv, base):
         calls.append(f)
-        return general(f, A, r, xv, base, tol)
+        return general(f, A, r, xv, base)
 
     monkeypatch.setattr(operators, "_resolve", counted)
     return calls
@@ -761,8 +775,8 @@ class TestScalarResolventPath:
 
     def test_subclass_that_overrides_resolve_is_called(self):
         class Shifted(ScalarMonotoneBifunction):
-            def resolve(self, r, w, base, tol):
-                return super().resolve(r, w, base, tol) + 0.25
+            def resolve(self, r, w, base):
+                return super().resolve(r, w, base) + 0.25
 
         f = Shifted(profile=lambda z: 0.0, lo=-1.0, hi=1.0)
         plain = ScalarMonotoneBifunction(profile=lambda z: 0.0, lo=-1.0, hi=1.0)
@@ -837,7 +851,7 @@ class TestZeroOperatorStep:
         for x in ([0.9, 0.4], [-0.0, -0.7], [1.5, 1e-300]):
             xv = np.array(x)
             for r in (0.25, 1.0):
-                expected = [f.resolve(r, xv - r * A(xv), box, TOL) for A in self.ZEROS]
+                expected = [f.resolve(r, xv - r * A(xv), box) for A in self.ZEROS]
                 rows = family.gep_kernel(0, len(self.ZEROS), r, xv)
                 assert rows.tobytes() == np.vstack(expected).tobytes()
                 for A, want in zip(self.ZEROS, expected):

@@ -1,6 +1,7 @@
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hybridproj.parallel import (
     _chunk_best,
     furthest_candidate,
 )
+from hybridproj.problems import build_section4
+from hybridproj.solver import resolvent_phase
 from oracles import full_chunk, select_furthest
 
 
@@ -295,9 +298,11 @@ def test_short_chunks_identical_across_worker_counts(monkeypatch):
     "rows, d, fixed, moved",
     [(3, 1, None, 3), (6, 1, np.zeros(1), 5), (3, 2, np.zeros(1), 3),
      (3, 1, np.zeros(2), 3), (2, 1, np.zeros(1), 3), (3, 1, np.zeros(1), 6),
-     (3, 1, np.zeros(1), -1)],
+     (3, 1, np.zeros(1), -1), (3, 1, np.zeros(1), 3.5), (4, 1, np.zeros(1), 4.0),
+     (1, 1, np.zeros(1), True)],
     ids=["short_without_fixed", "too_many_rows", "wrong_d", "fixed_wrong_d",
-         "too_few_rows", "moved_past_count", "negative_moved"],
+         "too_few_rows", "moved_past_count", "negative_moved", "fractional_moved",
+         "float_moved", "bool_moved"],
 )
 def test_malformed_chunk_rejected(rows, d, fixed, moved):
     with pytest.raises(ValueError):
@@ -305,6 +310,22 @@ def test_malformed_chunk_rejected(rows, d, fixed, moved):
             lambda lo, hi: np.zeros((rows, d)), 5, np.zeros(1), fixed=fixed,
             moved=moved,
         )
+
+
+def test_a_family_moved_prefix_must_be_an_integer():
+    family, _, _ = build_section4(4, 4)
+    x = np.array([0.9])
+    for moved in (3.5, 4.0, True):
+        broken = replace(family, gep_moved=lambda r, v: moved)
+        with pytest.raises(ValueError, match=f"moved prefix {moved!r} is not an integer"):
+            resolvent_phase(broken, 1.0, x)
+    # A numpy integer is a prefix; the winner's index is a plain int, whether
+    # it lies in the prefix (0.9 moves every member) or past it (-0.9 none).
+    numpy_int = replace(family, gep_moved=lambda r, v: np.int64(family.gep_moved(r, v)))
+    for point in (0.9, -0.9):
+        v = np.array([point])
+        got, expected = resolvent_phase(numpy_int, 1.0, v), resolvent_phase(family, 1.0, v)
+        assert type(got.index) is int and got.index == expected.index
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

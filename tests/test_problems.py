@@ -29,7 +29,7 @@ from hybridproj.problems import (
     section4_bifunction,
     section4_map,
 )
-from hybridproj.parallel import TARGET_CHUNK_ROWS
+from hybridproj.parallel import TARGET_CHUNK_ROWS, squared_distances
 from hybridproj.solver import checked_inputs, mapping_phase, resolvent_phase, solve
 from oracles import (
     full_chunk,
@@ -57,6 +57,20 @@ class TestSection4Spec:
         with pytest.raises(ValueError):
             Section4Spec(n_geps=0, n_maps=1)
 
+    @pytest.mark.parametrize("n_geps, n_maps, key", [
+        (2000.0, 3000, "n_geps"), (True, 3, "n_geps"), (3, 2.5, "n_maps"),
+        (3, False, "n_maps"), (3, "4", "n_maps"),
+    ])
+    def test_sizes_must_be_integers(self, n_geps, n_maps, key):
+        with pytest.raises(ValueError, match=f"'{key}': must be an integer"):
+            build_section4(n_geps, n_maps)
+
+    def test_numpy_integer_sizes_accepted(self):
+        family, _, reference = build_section4(np.int64(3), np.int32(4))
+        expected, _, _ = build_section4(3, 4)
+        assert (family.n_geps, family.n_maps) == (3, 4)
+        assert (reference, family.kappa) == (-0.5, expected.kappa)
+
     @pytest.mark.parametrize("n_geps, n_maps", [(1, 1), (7, 11), (2000, 3000)])
     def test_arrays_match_the_closed_formulas_bit_for_bit(self, n_geps, n_maps):
         spec = Section4Spec(n_geps=n_geps, n_maps=n_maps)
@@ -71,7 +85,8 @@ class TestSection4Spec:
     ])
     def test_coefficient_blocks_match_the_closed_formula(self, bounds):
         spec = Section4Spec(n_geps=1, n_maps=3_000_000)
-        blocks = [spec.coefficient_block(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        blocks = [spec.coefficients_at(np.arange(lo, hi))
+                  for lo, hi in zip(bounds, bounds[1:])]
         got = np.concatenate(blocks)
         assert got.tobytes() == section4_coefficients(3_000_000).tobytes()
 
@@ -594,7 +609,7 @@ class SeededSpec(Section4Spec):
         rest = rng.uniform(run[-1], 0.99, self.n_geps)
         return np.unique(np.concatenate([run, rest]))[:self.n_geps]
 
-    # The kernels read thresholds only through these two.
+    # Every hook reads thresholds only through these two.
     def thresholds_at(self, indices) -> np.ndarray:
         return self.thresholds[indices]
 
@@ -605,11 +620,9 @@ class SeededSpec(Section4Spec):
 def section4_with_bounds(spec: Section4Spec) -> ProblemFamily:
     """The section4 family over ``spec``'s thresholds, with its bound hooks."""
     family, _, _ = build_section4(spec.n_geps, spec.n_maps)
-    gep_kernel, gep_moved, gep_bound, map_kernel, map_moved, map_bound = (
-        problems._section4_kernels(spec))
-    return replace(family, gep_kernel=gep_kernel, gep_moved=gep_moved,
-                   gep_bound=gep_bound, map_kernel=map_kernel,
-                   map_moved=map_moved, map_bound=map_bound)
+    return replace(family, gep_kernel=spec.gep_kernel, gep_moved=spec.gep_moved,
+                   gep_bound=spec.gep_bound, map_kernel=spec.map_kernel,
+                   map_moved=spec.map_moved, map_bound=spec.map_bound)
 
 
 def probe_points(rng, thresholds, count) -> np.ndarray:
@@ -676,6 +689,28 @@ class TestSection4BlockBounds:
         finally:
             for pool in pools.values():
                 pool.shutdown()
+
+    # Seeds 0-1: the evenly spaced benchmark grid; 2-3: seeded run clusters.
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_resolvent_bound_covers_every_block(self, seed):
+        # Block by block, not only through the winner: on random grids of
+        # the moved prefix, the bound is at least the largest float squared
+        # distance, as the reduction computes it, of the block's rows to x.
+        rng = np.random.default_rng(seed)
+        n_geps = int(rng.integers(400, 650))
+        spec = (Section4Spec(n_geps, 1) if seed < 2
+                else SeededSpec(n_geps, 1, seed=seed))
+        for point in probe_points(rng, spec.thresholds, 900):
+            x = np.array([point])
+            moved = spec.gep_moved(1.0, x)
+            if moved == 0:
+                continue
+            inner = rng.integers(1, moved, int(rng.integers(0, 40))) if moved > 1 else []
+            edges = np.unique(np.concatenate(([0, moved], inner))).astype(np.int64)
+            lo, hi = edges[:-1], edges[1:]
+            d2 = squared_distances(spec.gep_kernel(0, moved, 1.0, x), x)
+            largest = np.maximum.reduceat(d2, lo)
+            assert np.all(spec.gep_bound(lo, hi, 1.0, x) >= largest), point
 
     def test_arctan_error_within_the_assumed_ulps(self):
         # The resolvent bound's margin assumes ARCTAN_ULPS; math.atan is

@@ -1,5 +1,8 @@
-"""The names ``hybridproj`` exports; growing the surface is a visible edit."""
+"""The names ``hybridproj`` exports and its member interface; growing either
+is a visible edit."""
 
+import dataclasses
+import inspect
 import types
 
 import hybridproj
@@ -30,3 +33,13 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_member_interface_is_pinned():
+    # A knob that comes back (a resolvent tolerance, a membership oracle) is
+    # then a visible edit, as a new export is.
+    signature = lambda f: list(inspect.signature(f).parameters)  # noqa: E731
+    assert signature(hybridproj.Bifunction.resolve) == ["self", "r", "w", "base"]
+    assert signature(hybridproj.resolvent) == ["f", "A", "r", "x", "base"]
+    assert [f.name for f in dataclasses.fields(hybridproj.CustomSet)] == [
+        "projection", "dimension"]
