@@ -49,6 +49,8 @@ __all__ = [
 # resolvent_scalar halves the bracket at least once every three steps, so
 # this matches a budget of 200 plain bisection halvings.
 MAX_STEPS = 3 * 200
+# Bracket width at which a scalar resolvent stops narrowing.
+_TOL = 1e-12
 
 
 class InvalidModelError(ValueError):
@@ -93,7 +95,10 @@ class ScalarMonotoneBifunction(Bifunction):
     The interval is both the root bracket and the clamp region of the
     resolvent; it may be narrower than the base set when the profile is only
     finite and nondecreasing on part of it, as long as every resolvent value
-    stays interior to the bracket.
+    stays interior to the bracket. The profile must be a deterministic
+    function of its argument: a member kernel of
+    :meth:`ProblemFamily.from_members` keeps ``profile(lo)`` and
+    ``profile(hi)`` from its first evaluation of the member.
     """
 
     profile: Callable[[float], float]
@@ -166,7 +171,9 @@ class PseudoContraction:
     ``||S^n x - S^n y||^2 <= k_n ||x - y||^2 + kappa ||(I-S^n)x - (I-S^n)y||^2``
     must hold for every power ``n >= 1`` with ``k_n -> 1``; plain maps
     satisfy it for ``n = 1`` with ``k = 1`` and are always applied at power
-    one by the solver.
+    one by the solver. The map must be a deterministic function of its
+    argument: a power stops at the first application that returns its input
+    bit for bit, since every further application would return it again.
     """
 
     map: Callable[[np.ndarray], np.ndarray]
@@ -280,6 +287,18 @@ class ProblemFamily:
         converted to float64 together, after its last member has run, so a
         member must not write later to an array it has returned. A result
         that is not ``d`` values raises ``ValueError``.
+
+        Profiles and maps must be deterministic functions of their
+        argument, for the kernels reuse what they once computed. Each pair
+        and map is classified once, here. A scalar pair keeps
+        ``profile(lo)`` and ``profile(hi)`` from its first evaluation, so
+        later calls evaluate only ``profile(x)`` for a member that fixes
+        ``x`` and send a member that moves it to the root finder of
+        :func:`resolvent_scalar`, with the same bits as that call. The ends
+        are stored together, once both calls have returned, so a profile
+        that raises leaves nothing stored, and a NaN end raises on every
+        call. An asymptotic power stops at a bitwise fixed point, as
+        :func:`apply_power` does.
         """
         geps = tuple(geps)
         maps = tuple(maps)
@@ -295,25 +314,59 @@ class ProblemFamily:
         else:
             k_seq = lambda n: 1.0  # noqa: E731
 
+        # Each pair and map is classified once. A scalar pair (the exact
+        # ScalarMonotoneBifunction type, so that a subclass that overrides
+        # resolve keeps its own path, behind a zero operator) holds
+        # (profile, lo, hi, profile(lo), profile(hi)), its end values None
+        # until its first evaluation; every other pair holds None. A plain
+        # map holds its callable, an asymptotic one None.
+        scalars = [
+            (f.profile, f.lo, f.hi, None, None)
+            if type(f) is ScalarMonotoneBifunction and A.map is np.zeros_like
+            else None
+            for f, A in geps
+        ]
+        plain = [None if s.asymptotic else s.map for s in maps]
+
         # The checks, the conversion of the evaluation point and the
         # conversion of the results run once per chunk; the loops call the
-        # cores behind resolvent and apply_power, and call a plain map once,
-        # without the power loop.
+        # cores behind resolvent, resolvent_scalar and apply_power, and call
+        # a plain map once, without the power loop.
         def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
             _check_step(r)
             xv = as_vector(x)
-            # A scalar bifunction behind a zero operator gets the call its
-            # resolve makes, on the float coordinate; the exact type test
-            # leaves a subclass that overrides resolve on the general path.
+            # In one dimension, at a finite step, a scalar pair gets the root
+            # its resolve finds, on the float coordinate.
             scalar = xv.size == 1 and r < math.inf
             x0 = float(xv[0])
             rows = []
-            for f, A in geps[lo:hi]:
-                if (scalar and type(f) is ScalarMonotoneBifunction
-                        and A.map is np.zeros_like):
-                    rows.append(resolvent_scalar(f.profile, r, x0, f.lo, f.hi))
-                else:
+            for i in range(lo, hi):
+                member = scalars[i]
+                if member is None or not scalar:
+                    f, A = geps[i]
                     rows.append(_resolve(f, A, r, xv, base))
+                    continue
+                profile, a, b, p_a, p_b = member
+                if p_a is None:
+                    # One store of the whole entry, after both calls
+                    # returned: a profile that raises stores nothing, and a
+                    # reader sees both ends or neither. Within a solve only
+                    # the thread whose block holds member i writes it.
+                    p_a = profile(a)
+                    p_b = profile(b)
+                    scalars[i] = (profile, a, b, p_a, p_b)
+                # g(a) and g(b) with the bits resolvent_scalar computes.
+                g_a = r * p_a + a - x0
+                g_b = r * p_b + b - x0
+                g_x = None
+                if g_a < 0.0 < g_b and a < x0 < b:
+                    # Past every end check: a member that fixes x costs one
+                    # profile call; a NaN g(x) raises in the core.
+                    g_x = r * profile(x0) + x0 - x0
+                    if g_x == 0.0:
+                        rows.append(x0)
+                        continue
+                rows.append(_scalar_root(profile, r, x0, a, b, g_a, g_b, _TOL, g_x))
             return _block(rows, xv.size, "equilibrium", lo)
 
         def map_kernel(
@@ -322,13 +375,13 @@ class ProblemFamily:
             _check_power(nominal_power)
             nominal_power = int(nominal_power)
             pv = as_vector(point)
-            members = maps[lo:hi]
+            calls = plain[lo:hi]
             # One copy of the point for the whole block: each plain member
             # gets its own row of it.
-            rows = np.tile(pv, (len(members), 1))
+            rows = np.tile(pv, (len(calls), 1))
             results = [
-                _power(s, nominal_power, pv) if s.asymptotic else s.map(row)
-                for s, row in zip(members, rows)
+                _power(s, nominal_power, pv) if call is None else call(row)
+                for s, call, row in zip(maps[lo:hi], calls, rows)
             ]
             return _block(results, pv.size, "map", lo)
 
@@ -412,7 +465,7 @@ def resolvent_scalar(
     x: float,
     lo: float,
     hi: float,
-    tol: float = 1e-12,
+    tol: float = _TOL,
 ) -> float:
     """Solve ``r * profile(z) + z = x`` on ``[lo, hi]`` by safeguarded
     Illinois root finding.
@@ -438,13 +491,14 @@ def resolvent_scalar(
     least 1, the root lies between the two points and the probe usually
     closes the bracket. Like every evaluation, the probe moves the bracket
     only to the side its sign shows, so a profile that breaks the slope
-    bound costs calls, never the bracket.
+    bound costs calls, never the bracket. Every call evaluates both ends,
+    ``profile(lo)`` and then ``profile(hi)``, before the first check.
 
     Raises:
         InvalidModelError: endpoint signs are decreasing, contradicting the
             declared monotonicity.
-        ResolventFailure: a profile evaluation produced a non-finite value
-            or the step budget ran out.
+        ResolventFailure: ``g`` was NaN at a point (the first one, ``lo``
+            before ``hi``, is named) or the step budget ran out.
     """
     if not r > 0:
         raise ValueError("resolvent step size must be positive")
@@ -452,17 +506,33 @@ def resolvent_scalar(
         raise ValueError("bracket requires lo < hi")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
+    return _scalar_root(profile, r, x, lo, hi,
+                        r * profile(lo) + lo - x, r * profile(hi) + hi - x, tol)
 
-    def g(z: float) -> float:
-        value = r * profile(z) + z - x
-        if math.isnan(value):
-            raise ResolventFailure(
-                f"profile produced NaN at z={z!r}", (lo, hi, math.nan, math.nan)
-            )
-        return value
 
-    g_lo = g(lo)
-    g_hi = g(hi)
+def _nan_failure(z: float, lo: float, hi: float) -> ResolventFailure:
+    return ResolventFailure(f"profile produced NaN at z={z!r}", (lo, hi, math.nan, math.nan))
+
+
+def _scalar_root(
+    profile: Callable[[float], float],
+    r: float,
+    x: float,
+    lo: float,
+    hi: float,
+    g_lo: float,
+    g_hi: float,
+    tol: float,
+    g_x: float | None = None,
+) -> float:
+    """:func:`resolvent_scalar` past its argument checks, given
+    ``g(lo)`` and ``g(hi)`` (and ``g(x)``, when the caller has it), with
+    ``g(z) = r * profile(z) + z - x`` evaluated inline."""
+    # A NaN test is value != value: no other float differs from itself.
+    if g_lo != g_lo:
+        raise _nan_failure(lo, lo, hi)
+    if g_hi != g_hi:
+        raise _nan_failure(hi, lo, hi)
     if g_lo > 0.0 and g_hi < 0.0:
         raise InvalidModelError(
             "endpoint values decrease across the bracket "
@@ -477,7 +547,10 @@ def resolvent_scalar(
     # at x, the root is x itself and is returned without root-finding
     # error); otherwise x replaces the bracket end of its sign.
     if lo < x < hi:
-        g_x = g(x)
+        if g_x is None:
+            g_x = r * profile(x) + x - x
+        if g_x != g_x:
+            raise _nan_failure(x, lo, hi)
         if g_x == 0.0:
             return x
         if g_x < 0.0:
@@ -497,7 +570,9 @@ def resolvent_scalar(
         if not secant:
             m = 0.5 * (a + b)
         width_2, width_1 = width_1, width
-        g_m = g(m)
+        g_m = r * profile(m) + m - x
+        if g_m != g_m:
+            raise _nan_failure(m, lo, hi)
         if g_m == 0.0:
             return m
         moved_a = g_m < 0.0
@@ -521,13 +596,22 @@ def resolvent_scalar(
             if p == m:
                 p = math.nextafter(m, b if moved_a else a)
             if a < p < b:
-                g_p = g(p)
+                g_p = r * profile(p) + p - x
+                if g_p != g_p:
+                    raise _nan_failure(p, lo, hi)
                 if g_p == 0.0:
                     return p
                 if g_p < 0.0:
                     a, g_a = p, g_p
                 else:
                     b, g_b = p, g_p
+
+    def g(z: float) -> float:
+        value = r * profile(z) + z - x
+        if value != value:
+            raise _nan_failure(z, lo, hi)
+        return value
+
     raise ResolventFailure(
         f"bracket width {b - a:.3e} still above tol={tol:.1e} "
         f"after {MAX_STEPS} steps",
@@ -542,10 +626,18 @@ def _check_power(n: int) -> None:
 
 def _power(S: PseudoContraction, n: int, point: np.ndarray) -> np.ndarray:
     # The first application gets a copy: a map that writes to its argument
-    # must not reach the caller's point.
+    # must not reach the caller's point. Once an application returns its
+    # input bit for bit, every further power of a deterministic map is that
+    # same point. The input's bytes are taken before the call, since a map
+    # may write to its argument, and bytes tell -0.0 from 0.0.
     point = point.copy()
+    bits = point.tobytes()
     for _ in range(n):
+        shape = point.shape
         point = S(point)
+        before, bits = bits, point.tobytes()
+        if bits == before and point.shape == shape:
+            break
     return point
 
 
@@ -553,7 +645,9 @@ def apply_power(S: PseudoContraction, n: int, x) -> np.ndarray:
     """Apply a mapping ``n`` times; ``n = 0`` is the identity.
 
     The result is never ``x`` itself, and ``x`` is left as it was even when
-    the map writes to its argument.
+    the map writes to its argument. The loop stops at the first application
+    that returns its input bit for bit; for a deterministic map the result
+    is the full loop's.
     """
     _check_power(n)
     return _power(S, int(n), as_vector(x))

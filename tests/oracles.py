@@ -13,7 +13,10 @@ the benchmark's member constants as plain closed formulas, and
 scalar resolvent's root finder, and ``counting`` counts the profile calls
 either one makes. ``dykstra_reference`` is the nested-set projection loop
 as first written, one projection call, copy and norm per visit, frozen so
-that a faster loop can be held to its bits. ``declared_bound_violations``
+that a faster loop can be held to its bits. ``member_kernels_reference``
+freezes the member kernels likewise, one public call per member and every
+power applied, and ``power_reference`` is its power loop.
+``declared_bound_violations``
 is the schedule rule with declared bounds ``b``, ``d`` and ``e``, frozen as
 the reference for the rule that takes them from the sequences themselves.
 """
@@ -390,6 +393,40 @@ def dykstra_reference(nested, x0, tol: float, max_sweeps: int) -> np.ndarray:
         cuts=len(nested.cuts),
         sweeps=max_sweeps,
     )
+
+
+def power_reference(S, n: int, x) -> np.ndarray:
+    """``S`` applied ``n`` times to a copy of ``x``, every application made."""
+    point = np.array(x, dtype=np.float64)
+    for _ in range(n):
+        point = S(point)
+    return point
+
+
+def member_kernels_reference(base, geps, maps):
+    """The chunk kernels of ``ProblemFamily.from_members`` as first written.
+
+    Every call evaluates each pair through ``resolvent`` (a scalar pair
+    through ``resolvent_scalar``, ends included), each asymptotic map
+    through ``power_reference`` at the nominal power, and each plain map
+    once on its own copy of the point; rows are converted one by one.
+    Returns ``(gep_kernel, map_kernel)``.
+    """
+    from hybridproj.operators import resolvent
+
+    def rows(results, d):
+        return np.array([np.asarray(v, dtype=np.float64).reshape(d) for v in results]
+                        ).reshape(len(results), d)
+
+    def gep_kernel(lo, hi, r, x):
+        return rows([resolvent(f, A, r, x, base) for f, A in geps[lo:hi]], x.size)
+
+    def map_kernel(lo, hi, nominal_power, point):
+        return rows([power_reference(s, nominal_power, point) if s.asymptotic
+                     else s.map(np.array(point, dtype=np.float64))
+                     for s in maps[lo:hi]], point.size)
+
+    return gep_kernel, map_kernel
 
 
 def declared_bound_violations(alpha_fn, beta_fn, r_fn, k_fn, omega, b, d, e,

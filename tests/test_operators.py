@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,15 @@ from hybridproj.operators import (
     verify_family,
     zero_operator,
 )
-from hybridproj.problems import build_section4, section4_bifunction, section4_map
-from oracles import bisect_resolvent, counting
+from hybridproj.problems import (
+    Section4Spec,
+    build_section4,
+    preset,
+    section4_bifunction,
+    section4_map,
+)
+from hybridproj.solver import SolverConfig, solve
+from oracles import bisect_resolvent, counting, member_kernels_reference, power_reference
 
 BASE = Box(lo=[-1.0], hi=[1.0])
 TOL = 1e-12
@@ -283,6 +291,12 @@ def _halve_in_place(v):
     return v
 
 
+def _settle_in_place(v):
+    v *= 0.5
+    v += 0.1
+    return v
+
+
 class TestApplyPower:
     def test_zero_power_is_identity(self):
         s = section4_map(1.5)
@@ -319,6 +333,49 @@ class TestApplyPower:
         np.testing.assert_array_equal(x, [0.8])
         assert not np.shares_memory(y, x)
         np.testing.assert_array_equal(y, [0.8 * 0.5**n])
+
+    def test_contractive_power_stops_at_its_float_fixed_point(self):
+        # 0.5 x + 0.1 settles on a float within a few dozen applications;
+        # from there every power is that float, so n = 400 costs what
+        # n = 4000 does.
+        calls = [0]
+
+        def settle(v):
+            calls[0] += 1
+            return 0.5 * v + 0.1
+
+        s = PseudoContraction(map=settle, kappa=0.0, asymptotic=True)
+        family = ProblemFamily.from_members(BASE, [], [s])
+        x = np.array([0.9])
+        counts = []
+        for n in (400, 4000):
+            for evaluate in (lambda: apply_power(s, n, x),
+                             lambda: family.map_kernel(0, 1, n, x)[0]):
+                calls[0] = 0
+                y = evaluate()
+                counts.append(calls[0])
+                assert y.tobytes() == power_reference(s, n, x).tobytes()
+        assert len(set(counts)) == 1 and counts[0] < 100
+
+    @pytest.mark.parametrize(
+        "mapping, x",
+        [
+            (lambda v: 0.5 * v + 0.1, [0.9]),
+            (_settle_in_place, [0.9]),
+            (_halve_in_place, [0.8]),
+            # isometries: about 0.2, a quarter turn, and a sign flip at 0,
+            # whose 0.0 and -0.0 are equal values with different bits
+            (lambda v: 0.4 - v, [0.9]),
+            (lambda v: np.array([-v[1], v[0]]), [0.3, -0.6]),
+            (lambda v: -v, [0.0]),
+        ],
+        ids=["settles", "settles-in-place", "halves-in-place", "mirror",
+             "quarter-turn", "sign-flip"],
+    )
+    def test_stopped_power_is_the_full_loop(self, mapping, x):
+        s = PseudoContraction(map=mapping, kappa=0.0, asymptotic=True)
+        for n in (0, 1, 2, 399, 400):
+            assert apply_power(s, n, x).tobytes() == power_reference(s, n, x).tobytes()
 
 
 class TestVerifyFamily:
@@ -732,6 +789,14 @@ class TestProblemFamily:
         assert math.isinf(zero_operator().alpha)
 
 
+def _outcome(call):
+    """``call()``'s rows as bytes, or its resolvent error with its payload."""
+    try:
+        return ("rows", call().tobytes())
+    except (ResolventFailure, InvalidModelError) as err:
+        return (type(err), str(err), repr(getattr(err, "bracket", None)))
+
+
 def _count_resolve_calls(monkeypatch):
     """Count the member kernels' calls of the general resolvent path."""
     calls = []
@@ -758,7 +823,6 @@ class TestScalarResolventPath:
         ]
         geps = [(f, A) for f in bifunctions
                 for A in (zero_operator(), IsmOperator(map=np.zeros_like, alpha=1.0))]
-        family = ProblemFamily.from_members(BASE, geps, [])
         # a threshold as x is fixed by some members and moved by the others;
         # -1 and 1 end the section4 brackets, and +-0.5 end the cubic
         # member's, which clamps x = -1 and x = 1
@@ -768,10 +832,64 @@ class TestScalarResolventPath:
         for x in grid:
             for r in (0.5, 1.0, 2.5):
                 expected = np.vstack([resolvent(f, A, r, [x], BASE) for f, A in geps])
-                calls.clear()
-                rows = family.gep_kernel(0, len(geps), r, np.array([x]))
-                assert rows.tobytes() == expected.tobytes(), (x, r)
-                assert calls == []
+                # a new family evaluates the ends; its second call reads them
+                family = ProblemFamily.from_members(BASE, geps, [])
+                for _ in range(2):
+                    calls.clear()
+                    rows = family.gep_kernel(0, len(geps), r, np.array([x]))
+                    assert rows.tobytes() == expected.tobytes(), (x, r)
+                    assert calls == []
+
+    @pytest.mark.parametrize(
+        "profile, x",
+        [
+            (lambda z: math.nan if z < -0.9 else z, 0.5),
+            (lambda z: math.nan if z > 0.9 else z, 0.5),
+            (lambda z: math.nan if 0.4 < z < 0.6 else z, 0.5),
+            (lambda z: -10.0 * z, 0.2),
+        ],
+        ids=["nan-at-lo", "nan-at-hi", "nan-at-x", "decreasing"],
+    )
+    def test_failures_match_resolvent_on_every_call(self, profile, x):
+        f = ScalarMonotoneBifunction(profile=profile, lo=-1.0, hi=1.0)
+        family = ProblemFamily.from_members(BASE, [(f, zero_operator())], [])
+        expected = _outcome(lambda: resolvent(f, zero_operator(), 1.0, [x], BASE))
+        assert expected[0] in (ResolventFailure, InvalidModelError)
+        for _ in range(3):  # the ends are stored after the first call
+            assert _outcome(lambda: family.gep_kernel(0, 1, 1.0, np.array([x]))) == expected
+
+    def test_exhausted_budget_matches_resolvent(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_STEPS", 3)
+        f = ScalarMonotoneBifunction(profile=step_profile, lo=-1.0, hi=1.0)
+        family = ProblemFamily.from_members(BASE, [(f, zero_operator())], [])
+        expected = _outcome(lambda: resolvent(f, zero_operator(), 1.0, [0.5], BASE))
+        assert expected[0] is ResolventFailure and "after 3 steps" in expected[1]
+        for _ in range(2):
+            assert _outcome(lambda: family.gep_kernel(0, 1, 1.0, np.array([0.5]))) == expected
+
+    def test_profile_that_raises_at_hi_stores_no_end(self):
+        raised = []
+
+        def flaky(z):
+            if z == 1.0 and not raised:
+                raised.append(z)
+                raise RuntimeError("flaky profile")
+            return z
+
+        profile, points = recording(flaky)
+        f = ScalarMonotoneBifunction(profile=profile, lo=-1.0, hi=1.0)
+        family = ProblemFamily.from_members(BASE, [(f, zero_operator())], [])
+        x = np.array([0.5])
+        with pytest.raises(RuntimeError, match="flaky profile"):
+            family.gep_kernel(0, 1, 1.0, x)
+        assert points == [-1.0, 1.0]
+        steady = ScalarMonotoneBifunction(profile=lambda z: z, lo=-1.0, hi=1.0)
+        expected = resolvent(steady, zero_operator(), 1.0, x, BASE).tobytes()
+        # the failed call stored neither end, so the next one evaluates both
+        for ends in (2, 0):
+            points.clear()
+            assert family.gep_kernel(0, 1, 1.0, x).tobytes() == expected
+            assert points.count(-1.0) + points.count(1.0) == ends
 
     def test_subclass_that_overrides_resolve_is_called(self):
         class Shifted(ScalarMonotoneBifunction):
@@ -798,6 +916,109 @@ class TestScalarResolventPath:
         rows = family.gep_kernel(0, 3, 0.5, x)
         assert rows.tobytes() == expected.tobytes()
         assert calls == [f, geps[2][0]]
+
+
+class TestMemberEvaluationCounts:
+    """Profile calls of the member resolvent kernel, counted: a repeat
+    evaluation costs one call per member that fixes the point and no end
+    calls, and a solve evaluates each member's ends once."""
+
+    def test_repeat_call_costs_one_profile_call_per_fixed_member(self):
+        rng = np.random.default_rng(89)
+        members = [section4_bifunction(float(xi)) for xi in rng.uniform(-0.95, 0.95, 40)]
+        counted = [counting(f.profile) for f in members]
+        geps = [(ScalarMonotoneBifunction(profile=profile, lo=f.lo, hi=f.hi), zero_operator())
+                for f, (profile, _) in zip(members, counted)]
+        family = ProblemFamily.from_members(BASE, geps, [])
+        for x in (-0.3, 0.2, 0.7):
+            for r in (0.5, 1.0):
+                family.gep_kernel(0, len(geps), r, np.array([x]))
+                for _, calls in counted:
+                    calls[0] = 0
+                family.gep_kernel(0, len(geps), r, np.array([x]))
+                fixed = 0
+                for f, (_, calls) in zip(members, counted):
+                    alone, alone_calls = counting(f.profile)
+                    z = resolvent_scalar(alone, r, x, f.lo, f.hi)
+                    # resolvent_scalar pays both ends on top of the kernel's calls
+                    assert calls[0] == alone_calls[0] - 2
+                    if z == x:
+                        fixed += 1
+                        assert calls[0] == 1
+                assert 0 < fixed < len(members)
+
+    def test_each_member_end_is_evaluated_once_per_solve(self):
+        spec = Section4Spec(50, 75)
+        recorded = []
+        bifunctions = []
+        for xi in spec.thresholds:
+            f = section4_bifunction(float(xi))
+            profile, points = recording(f.profile)
+            recorded.append((f, points))
+            bifunctions.append(ScalarMonotoneBifunction(profile=profile, lo=f.lo, hi=f.hi))
+        maps = [section4_map(float(c)) for c in spec.coefficients]
+        family, _, schedule = preset("cor5", base=BASE, bifunctions=bifunctions, maps=maps)
+        report = solve(family, schedule, SolverConfig(max_iter=30), [0.9])
+        assert report.iterations == 30
+        for f, points in recorded:
+            assert len(points) >= 30
+            assert points.count(f.lo) == 1 and points.count(f.hi) == 1
+
+
+def _cor5_members(n_geps: int, n_maps: int):
+    spec = Section4Spec(n_geps, n_maps)
+    return preset(
+        "cor5", base=BASE,
+        bifunctions=[section4_bifunction(float(xi)) for xi in spec.thresholds],
+        maps=[section4_map(float(c)) for c in spec.coefficients],
+    )
+
+
+def _mixed_members():
+    # Every member fixes 0.2: two custom resolvents, a section4 bifunction,
+    # an affine operator, an asymptotic contraction that settles on its
+    # float fixed point within the run, a plain reflection and an
+    # asymptotic one.
+    custom = [CustomBifunction(oracle=lambda r, w, s=s: (w + r * s * 0.2) / (1.0 + r * s))
+              for s in (0.5, 1.0)]
+    maps = [
+        PseudoContraction(map=lambda v: 0.5 * v + 0.1, kappa=0.0, asymptotic=True),
+        PseudoContraction(map=lambda v: [0.4 - float(v[0])], kappa=0.0),
+        PseudoContraction(map=lambda v: 0.4 - v, kappa=0.0, asymptotic=True),
+    ]
+    return preset("cor1", base=BASE, bifunctions=custom + [section4_bifunction(0.3)],
+                  operators=[affine_operator(1.0, [0.2])], maps=maps)
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestMemberKernelsReference:
+    """The member kernels of from_members run the iterations of the frozen
+    per-member loops, field for field."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "members, iterations",
+        [(lambda: _cor5_members(50, 75), 60), (_mixed_members, 80)],
+        ids=["cor5", "mixed"],
+    )
+    def test_histories_equal_the_reference(self, members, iterations, workers):
+        family, _, schedule = members()
+        gep_kernel, map_kernel = member_kernels_reference(
+            family.base, family.geps, family.maps
+        )
+        reference = replace(family, gep_kernel=gep_kernel, map_kernel=map_kernel)
+        cfg = SolverConfig(max_iter=iterations, workers=workers, record_history=True)
+        got, want = (solve(f, schedule, cfg, [0.9]) for f in (family, reference))
+        assert got.final_x.tobytes() == want.final_x.tobytes()
+        assert len(got.history) == len(want.history) == iterations
+        for a, b in zip(got.history, want.history):
+            for field in fields(a):
+                if not field.name.startswith("t_"):  # timings
+                    name = field.name
+                    assert _bits(getattr(a, name)) == _bits(getattr(b, name)), (a.n, name)
 
 
 class TestCustomBifunction:
