@@ -6,12 +6,15 @@ built-in benchmark preset ("section4" with sizes N and M) or a reduced-scheme
 preset ("cor1" .. "cor5") with inline parts built from variant tags. Exit
 codes: 0 success, 1 invalid config, 2 solver failure, 3 validation failure.
 Every config value, at any depth, is read by ``_read``, which names its key
-in each refusal, spelling the refused value as JSON. ``run`` and ``bench``
-pass ``checked_inputs``, the gate of ``solve``, once; ``validate`` reports
-the schedule's violations instead. The subcommands raise ConfigError for a
-bad config or flag; ``main`` reports it. Each run setting has one source:
-workers come from --workers, then the config's ``workers``, then 1; history
-from the config's ``record_history``; the output directory from --out.
+in each refusal, spelling the refused value as JSON; every config object
+refuses a key outside the frozenset of its kind. ``run`` and ``bench`` pass
+``checked_inputs``, the gate of ``solve``, once; ``validate`` reports the
+schedule's violations instead. The subcommands raise ConfigError for a bad
+config or flag, and let a solver failure (any other ValueError or
+RuntimeError) propagate; ``main`` reports both. Each run setting has one
+source: workers come from --workers, then the config's ``workers``, then 1;
+history from the config's ``record_history``; the output directory from
+--out.
 """
 
 from __future__ import annotations
@@ -200,9 +203,8 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         fields = cls.__dataclass_fields__
-        unknown = set(raw) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if not raw.keys() <= fields.keys():
+            raise _unknown(raw, fields.keys(), "config")
         return cls(**{key: _read(raw, key, _FIELD_READERS[key], field.default)
                       for key, field in fields.items()})
 
@@ -222,14 +224,23 @@ def load_config(path: str | Path) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
+def _unknown(spec: dict, keys, name: str) -> ConfigError:
+    """The refusal of ``spec``'s keys outside ``keys``."""
+    return ConfigError(f"unknown {name} keys: {sorted(spec.keys() - keys)}")
+
+
 def _build(builders: dict, spec, key: str, tag: str = "variant"):
-    """Build config part ``key`` from its object with the builder its tag names."""
+    """Build config part ``key`` from its object with the builder its tag
+    names, once every key of the object is one of that kind's."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{key!r} must be an object, got {_json(spec)}")
     kind = spec.get(tag)
     if kind not in builders:
         raise ConfigError(f"{key!r} has unknown {tag} {_json(kind)}")
-    return builders[kind](spec)
+    build, keys = builders[kind]
+    if not keys.issuperset(spec):
+        raise _unknown(spec, keys, key)
+    return build(spec)
 
 
 def _affine_profile(spec: dict):
@@ -251,42 +262,65 @@ def _inverse_offset(spec: dict):
     return lambda n: scale / (n + offset)
 
 
-# Builders of the inline parts, by the value of their tag.
+# Builders of the inline parts, by the value of their tag, each with the
+# keys its object may hold, tag included.
 _BASES = {
-    "box": lambda s: Box(lo=_read(s, "lo", _vector), hi=_read(s, "hi", _vector)),
-    "ball": lambda s: Ball(center=_read(s, "center", _vector),
-                           radius=_read(s, "radius")),
+    "box": (lambda s: Box(lo=_read(s, "lo", _vector), hi=_read(s, "hi", _vector)),
+            frozenset({"kind", "lo", "hi"})),
+    "ball": (lambda s: Ball(center=_read(s, "center", _vector),
+                            radius=_read(s, "radius")),
+             frozenset({"kind", "center", "radius"})),
 }
+_PROFILES = {"affine": (_affine_profile, frozenset({"kind", "slope", "shift"}))}
 _BIFUNCTIONS = {
-    "zero": lambda s: ZeroBifunction(),
-    "section4": lambda s: section4_bifunction(_read(s, "xi")),
-    "scalar_monotone": lambda s: ScalarMonotoneBifunction(
-        profile=_build({"affine": _affine_profile}, s.get("profile", {}),
-                       "profile", "kind"),
+    "zero": (lambda s: ZeroBifunction(), frozenset({"variant"})),
+    "section4": (lambda s: section4_bifunction(_read(s, "xi")),
+                 frozenset({"variant", "xi"})),
+    "scalar_monotone": (lambda s: ScalarMonotoneBifunction(
+        profile=_build(_PROFILES, s.get("profile", {}), "profile", "kind"),
         lo=_read(s, "lo"), hi=_read(s, "hi"),
-    ),
+    ), frozenset({"variant", "profile", "lo", "hi"})),
 }
 _OPERATORS = {
-    "zero": lambda s: zero_operator(),
-    "affine": lambda s: affine_operator(_read(s, "gain"), _read(s, "root", _vector)),
+    "zero": (lambda s: zero_operator(), frozenset({"variant"})),
+    "affine": (lambda s: affine_operator(_read(s, "gain"), _read(s, "root", _vector)),
+               frozenset({"variant", "gain", "root"})),
 }
 _MAPS = {
-    "identity": lambda s: identity_map(),
-    "section4": lambda s: section4_map(_read(s, "c")),
+    "identity": (lambda s: identity_map(), frozenset({"variant"})),
+    "section4": (lambda s: section4_map(_read(s, "c")), frozenset({"variant", "c"})),
 }
 _SOLUTIONS = {
-    "interval": lambda s: IntervalSolution(lo=_read(s, "lo"), hi=_read(s, "hi")),
-    "point": lambda s: PointSolution(point=_read(s, "value", _vector)),
+    "interval": (lambda s: IntervalSolution(lo=_read(s, "lo"), hi=_read(s, "hi")),
+                 frozenset({"kind", "lo", "hi"})),
+    "point": (lambda s: PointSolution(point=_read(s, "value", _vector)),
+              frozenset({"kind", "value"})),
 }
-_SEQUENCES = {"constant": _constant, "inverse_offset": _inverse_offset}
+_SEQUENCES = {
+    "constant": (_constant, frozenset({"kind", "value"})),
+    "inverse_offset": (_inverse_offset, frozenset({"kind", "offset", "scale"})),
+}
+# The keys of the objects that ``_assemble`` reads itself: the schedule, the
+# problem by preset and the stop by rule.
+_SCHEDULE_KEYS = frozenset({"alpha", "beta", "r", "omega"})
+_PROBLEM_KEYS = {
+    name: frozenset({"preset", "N", "M"} if name == "section4" else
+                    {"preset", "base", "bifunctions", "operators", "maps",
+                     "known_solution"})
+    for name in PRESET_NAMES
+}
+_STOP_KEYS = {
+    "tol_to_reference": frozenset({"rule", "l", "tol", "reference"}),
+    "residual": frozenset({"rule", "tol"}),
+    "budget": frozenset({"rule"}),
+}
 
 
 def _apply_schedule_overrides(sched: ParamSchedule, overrides: dict) -> ParamSchedule:
     """Replace the schedule fields the config names; ``k_n`` is the
     family's own and cannot be overridden."""
-    unknown = set(overrides) - {"alpha", "beta", "r", "omega"}
-    if unknown:
-        raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
+    if not _SCHEDULE_KEYS.issuperset(overrides):
+        raise _unknown(overrides, _SCHEDULE_KEYS, "schedule")
     updates: dict[str, Any] = {}
     for name in ("alpha", "beta", "r"):
         if name in overrides:
@@ -310,12 +344,16 @@ def _assemble(config: RunConfig, workers: int) -> BuildResult:
     a malformed entry is a ConfigError that names its cause."""
     problem = config.problem
     name = problem.get("preset")
+    if name not in _PROBLEM_KEYS:
+        raise ConfigError(f"unknown problem preset {_json(name)}")
+    if not _PROBLEM_KEYS[name].issuperset(problem):
+        raise _unknown(problem, _PROBLEM_KEYS[name], "problem")
     try:
         if name == "section4":
             family, sched, _ = build_section4(
                 _read(problem, "N", _integer), _read(problem, "M", _integer)
             )
-        elif name in PRESET_NAMES:
+        else:
             parts = {
                 key: [_build(builders, s, key) for s in _read(problem, key, _list, [])]
                 for key, builders in (("bifunctions", _BIFUNCTIONS),
@@ -327,11 +365,8 @@ def _assemble(config: RunConfig, workers: int) -> BuildResult:
                 base=_build(_BASES, problem.get("base", {}), "base", "kind"),
                 known_solution=None if solution is None else _build(
                     _SOLUTIONS, solution, "known_solution", "kind"),
-                omega=_read(problem, "omega") if "omega" in problem else None,
                 **parts,
             )
-        else:
-            raise ConfigError(f"unknown problem preset {_json(name)}")
     except ValueError as err:
         if isinstance(err, ConfigError):
             raise
@@ -351,7 +386,13 @@ def _assemble(config: RunConfig, workers: int) -> BuildResult:
     stop = None
     spec = config.stop or {"rule": "budget"}
     rule = spec.get("rule")
+    if rule not in _STOP_KEYS:
+        raise ConfigError(f"unknown stop rule {_json(rule)}")
+    if not _STOP_KEYS[rule].issuperset(spec):
+        raise _unknown(spec, _STOP_KEYS[rule], "stop")
     if rule == "tol_to_reference":
+        if "l" in spec and "tol" in spec:
+            raise ConfigError("stop: 'l' and 'tol' exclude each other")
         if "l" in spec:
             tol = _read(spec, "l", lambda digits: _positive(10.0 ** -_number(digits)))
         else:
@@ -362,8 +403,6 @@ def _assemble(config: RunConfig, workers: int) -> BuildResult:
         stop = ToleranceToReference(reference=ref_v, tol=tol)
     elif rule == "residual":
         stop = ResidualBelow(tol=_read(spec, "tol", _positive))
-    elif rule != "budget":
-        raise ConfigError(f"unknown stop rule {_json(rule)}")
 
     try:
         solver_cfg = SolverConfig(
@@ -445,12 +484,7 @@ def run(config: RunConfig, *, workers: int | None = None, out: str | None = None
     """Execute one solve and write the summary (and optional history CSV)."""
     built = build_inputs(config, resolve_workers(workers, config))
     target = _out_dir(out)
-    try:
-        report = _solve(built.family, built.schedule, built.solver_config, built.x0)
-    except (ValueError, RuntimeError) as err:
-        _emit_error("solver-failure", str(err))
-        return EXIT_SOLVER_FAILURE
-
+    report = _solve(built.family, built.schedule, built.solver_config, built.x0)
     summary = _summary(report, built.reference)
     print(json.dumps(summary))
     if target is not None:
@@ -466,8 +500,8 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
     Checks the schedule admissibility conditions, every member inequality
     via the family audit, and (when an analytic solution is attached)
     that sampled solution points are fixed by every resolvent and mapping,
-    evaluated through the family kernels. A kernel error is a solver
-    failure, as in ``run``.
+    evaluated through the family kernels. An error in an audit or a kernel
+    propagates as a solver failure, as in ``run``.
     """
     if samples < 1:
         raise ConfigError(f"--samples must be positive, got {samples}")
@@ -488,14 +522,10 @@ def validate(config: RunConfig, *, samples: int = 200) -> int:
     if family.known_solution is not None:
         rng = np.random.default_rng(config.seed)
         r0 = built.schedule.r_fn(0)
-        try:
-            for _ in range(10):
-                u = family.known_solution.project(family.base.sample(rng))
-                gaps.append(resolvent_phase(family, r0, u).distance)
-                gaps.append(mapping_phase(family, 1, u, u).distance)
-        except (ValueError, RuntimeError) as err:
-            _emit_error("solver-failure", str(err))
-            return EXIT_SOLVER_FAILURE
+        for _ in range(10):
+            u = family.known_solution.project(family.base.sample(rng))
+            gaps.append(resolvent_phase(family, r0, u).distance)
+            gaps.append(mapping_phase(family, 1, u, u).distance)
 
     output = {
         "schedule_violations": schedule_issues,
@@ -547,12 +577,7 @@ def bench(config: RunConfig, worker_list: Sequence[int],
     runs: list[list[Report]] = [[] for _ in worker_list]
     for _ in range(BENCH_ROUNDS):
         for solver_cfg, solves in zip(configs, runs):
-            try:
-                solves.append(_solve(built.family, built.schedule, solver_cfg,
-                                     built.x0))
-            except (ValueError, RuntimeError) as err:
-                _emit_error("solver-failure", str(err))
-                return EXIT_SOLVER_FAILURE
+            solves.append(_solve(built.family, built.schedule, solver_cfg, built.x0))
 
     head = runs[0][0]
     for other in (report for solves in runs for report in solves):
@@ -645,6 +670,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         _emit_error("invalid-config", str(err))
         return EXIT_INVALID_CONFIG
+    except (ValueError, RuntimeError) as err:
+        _emit_error("solver-failure", str(err))
+        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

@@ -37,32 +37,10 @@ DEFAULT_PROJECTION_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 10_000
 
 
-class ProjectionFailure(RuntimeError):
-    """Projection sweep budget exhausted before reaching tolerance.
-
-    Carries the best iterate found so far and the last sweep displacement,
-    the number of cuts in the set and the sweeps run. ``iteration`` is the
-    solver iteration that projected, or None outside the solver.
-    """
-
-    def __init__(self, message: str, best: np.ndarray, residual: float, *,
-                 iteration: int | None = None, cuts: int | None = None,
-                 sweeps: int | None = None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
-        self.iteration = iteration
-        self.cuts = cuts
-        self.sweeps = sweeps
-
-
-class InfeasibleSetError(RuntimeError):
-    """The alternating projections stalled on a cycle that never becomes
-    feasible, which is the heuristic certificate for an empty intersection.
-
-    Carries the number of cuts in the set, the sweeps run and, inside the
-    solver, the iteration that projected.
-    """
+class _ProjectionError(RuntimeError):
+    """A projection onto a nested set that failed. Carries the number of
+    cuts in the set, the sweeps run and, inside the solver, the iteration
+    that projected (None outside it)."""
 
     def __init__(self, message: str, *, iteration: int | None = None,
                  cuts: int | None = None, sweeps: int | None = None):
@@ -70,6 +48,26 @@ class InfeasibleSetError(RuntimeError):
         self.iteration = iteration
         self.cuts = cuts
         self.sweeps = sweeps
+
+
+class ProjectionFailure(_ProjectionError):
+    """Projection sweep budget exhausted before reaching tolerance.
+
+    Also carries the best iterate found so far and the last sweep
+    displacement.
+    """
+
+    def __init__(self, message: str, best: np.ndarray, residual: float, *,
+                 iteration: int | None = None, cuts: int | None = None,
+                 sweeps: int | None = None):
+        super().__init__(message, iteration=iteration, cuts=cuts, sweeps=sweeps)
+        self.best = best
+        self.residual = residual
+
+
+class InfeasibleSetError(_ProjectionError):
+    """The alternating projections stalled on a cycle that never becomes
+    feasible, which is the heuristic certificate for an empty intersection."""
 
 
 def as_vector(x) -> np.ndarray:

@@ -98,9 +98,7 @@ class _LazyMembers(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._count))]
+    def __getitem__(self, index: int):
         i = index + self._count if index < 0 else index
         if not 0 <= i < self._count:
             raise IndexError(index)

@@ -292,21 +292,15 @@ def iterate(
     y_far, i_far, res_y = y_sel.point, y_sel.index, y_sel.distance
     t1 = time.perf_counter()
 
-    if problem.n_maps > 0:
-        mix = alpha_n * x + (1.0 - alpha_n) * beta_n * y_far
-        scale = (1.0 - alpha_n) * (1.0 - beta_n)
-        # Candidate j is scale * s_j + mix with scale > 0, so its distance
-        # to x is scale * ||s_j - c||: rank the mapped points against c and
-        # combine only the winner.
-        c = (x - mix) / scale
-        s_sel = mapping_phase(problem, n, y_far, c, pool, cfg.workers)
-        z_far = s_sel.point * scale + mix
-        j_far, blocks_z = s_sel.index, s_sel.blocks
-        res_z = math.sqrt(squared_distances(z_far[np.newaxis], x)[0])
-    else:
-        z_far = alpha_n * x + (1.0 - alpha_n) * y_far
-        j_far, blocks_z = -1, 0
-        res_z = float(np.linalg.norm(z_far - x))
+    mix = alpha_n * x + (1.0 - alpha_n) * beta_n * y_far
+    scale = (1.0 - alpha_n) * (1.0 - beta_n)
+    # Candidate j is scale * s_j + mix with scale > 0, so its distance to x
+    # is scale * ||s_j - c||: rank the mapped points against c and combine
+    # only the winner. A family without mappings takes this step with S = I.
+    c = (x - mix) / scale
+    s_sel = mapping_phase(problem, n, y_far, c, pool, cfg.workers)
+    z_far = s_sel.point * scale + mix
+    res_z = math.sqrt(squared_distances(z_far[np.newaxis], x)[0])
     t2 = time.perf_counter()
 
     eps = cut_relaxation(problem.k_seq(n), x, sched.omega)
@@ -316,15 +310,10 @@ def iterate(
         x_new = project_nested(
             state.nested, state.x0, cfg.projection_tol, cfg.projection_max_sweeps
         )
-    except ProjectionFailure as err:
-        raise ProjectionFailure(
-            f"iteration {n}: {err}", err.best, err.residual,
-            iteration=n, cuts=err.cuts, sweeps=err.sweeps,
-        ) from err
-    except InfeasibleSetError as err:
-        raise InfeasibleSetError(
-            f"iteration {n}: {err}", iteration=n, cuts=err.cuts, sweeps=err.sweeps
-        ) from err
+    except (ProjectionFailure, InfeasibleSetError) as err:
+        err.args = (f"iteration {n}: {err}",)
+        err.iteration = n
+        raise
     t3 = time.perf_counter()
 
     res_s: float | None = None
@@ -340,9 +329,9 @@ def iterate(
         y_far=y_far,
         z_far=z_far,
         i_far=i_far,
-        j_far=j_far,
+        j_far=s_sel.index,
         blocks_y=y_sel.blocks,
-        blocks_z=blocks_z,
+        blocks_z=s_sel.blocks,
         eps=eps,
         res_y=res_y,
         res_z=res_z,

@@ -19,6 +19,7 @@ from hybridproj.cli import (
     load_config,
     main,
 )
+from hybridproj.geometry import ProjectionFailure
 from hybridproj.problems import build_section4
 from hybridproj.solver import ParamSchedule, SolverConfig, solve
 
@@ -86,6 +87,12 @@ def ball_vi_config():
     }
 
 
+def scalar_monotone(**profile):
+    """A scalar_monotone bifunction with an affine profile of extra keys."""
+    return {"variant": "scalar_monotone", "profile": {"kind": "affine", **profile},
+            "lo": -1.0, "hi": 1.0}
+
+
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -114,6 +121,9 @@ class TestRunConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(path)
+        path.write_text("[1.0]")
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -167,6 +177,24 @@ class TestRunConfig:
             ({"schedule": {"k": {"kind": "constant", "value": 1.5}}}, "k"),
             ({"schedule": {"d": 1.0}}, "d"),
             ({"schedule": {"e": 1.0}}, "e"),
+            # An object below the root refuses a key its kind does not hold.
+            ({"problem": {**{k: v for k, v in COR5_PROBLEM.items() if k != "maps"},
+                          "mapz": COR5_PROBLEM["maps"]}}, "mapz"),
+            ({"problem": {"preset": "section4", "N": 20, "M": 30, "omega": 1.0}},
+             "omega"),
+            ({"problem": {"preset": "section4", "N": 20, "M": 30,
+                          "base": COR5_PROBLEM["base"]}}, "base"),
+            ({"problem": dict(COR5_PROBLEM, omega=1.0)}, "omega"),
+            ({"problem": dict(COR5_PROBLEM, base={
+                "kind": "box", "lo": [-1.0], "hi": [1.0], "radius": 1.0})}, "radius"),
+            ({"stop": {"rule": "budget", "tol": 1}}, "tol"),
+            ({"stop": {"rule": "tol_to_reference", "l": 6, "tol": 1e-6}}, "l"),
+            ({"problem": dict(COR5_PROBLEM, bifunctions=[
+                scalar_monotone(slop=1.0)])}, "slop"),
+            ({"problem": dict(COR5_PROBLEM, bifunctions=[
+                scalar_monotone(shfit=0.0)])}, "shfit"),
+            ({"schedule": {"alpha": {"kind": "inverse_offset", "ofset": 3}}}, "ofset"),
+            ({"schedule": {"alpha": {"kind": "inverse_offset", "scael": 2}}}, "scael"),
         ],
         ids=[
             "x0-1.0", "x0-None", "max_iter-5", "workers-2", "projection_tol-x",
@@ -177,7 +205,10 @@ class TestRunConfig:
             "M-fraction", "N-float", "xi-string", "c-string", "hi-bool",
             "l-bool", "record_history-string", "out-number", "operators-object",
             "seed-negative", "projection_tol-zero", "projection_max_sweeps-zero",
-            "k-retired", "d-retired", "e-retired",
+            "k-retired", "d-retired", "e-retired", "problem-mapz",
+            "section4-omega", "section4-base", "cor5-omega", "box-radius",
+            "budget-tol", "l-and-tol", "profile-slop", "profile-shfit",
+            "offset-typo", "scale-typo",
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, overrides, key):
@@ -198,8 +229,10 @@ class TestRunConfig:
             ({"problem": dict(COR5_PROBLEM, base="box")}, 'got "box"'),
             ({"problem": dict(COR5_PROBLEM, maps=[{"c": 1.5}])},
              "unknown variant null"),
+            ({"stop": {"rule": "fixed"}}, 'unknown stop rule "fixed"'),
         ],
-        ids=["list-of-true", "null", "object", "string", "missing-tag"],
+        ids=["list-of-true", "null", "object", "string", "missing-tag",
+             "unknown-rule"],
     )
     def test_refused_value_is_spelled_as_json(self, tmp_path, capsys, overrides,
                                               spelled):
@@ -494,6 +527,28 @@ class TestValidate:
         assert error["error"] == "solver-failure"
         assert main(["run", "--config", cfg]) == EXIT_SOLVER_FAILURE
 
+    def test_audit_error_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        def failing_audit(*args, **kwargs):
+            raise RuntimeError("audit failed")
+
+        monkeypatch.setattr(cli, "verify_family", failing_audit)
+        cfg = write_config(tmp_path, small_benchmark_config())
+        assert main(["validate", "--config", cfg]) == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip()) == {
+            "error": "solver-failure", "detail": "audit failed"}
+
+    def test_anchor_outside_base_is_invalid_config(self, tmp_path, capsys):
+        data = dict(ball_vi_config(), x0=[0.9, 0.9])
+        assert main(["validate", "--config", write_config(tmp_path, data)]) == (
+            EXIT_INVALID_CONFIG)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.strip())
+        assert error["error"] == "invalid-config"
+        assert "outside the base set" in error["detail"]
+
 
 class TestBench:
     def test_rows_and_determinism(self, tmp_path, capsys):
@@ -548,6 +603,45 @@ class TestBench:
         code = main(["bench", "--config", cfg, "--workers-list", "1,2"])
         assert code == EXIT_SOLVER_FAILURE
         assert "determinism-violation" in capsys.readouterr().err
+
+    def test_projection_budget_failure_is_solver_failure(self, tmp_path, capsys):
+        bad = small_benchmark_config(projection_max_sweeps=1)
+        code = main(["bench", "--config", write_config(tmp_path, bad),
+                     "--workers-list", "1,2"])
+        assert code == EXIT_SOLVER_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.strip())
+        assert error["error"] == "solver-failure"
+        assert error["detail"].startswith("iteration 0: projection did not reach")
+
+    @pytest.mark.parametrize(
+        "drift",
+        [lambda h: h[:-1],
+         lambda h: h[:-1] + (replace(h[-1], j_far=h[-1].j_far + 1),),
+         lambda h: h[:-1] + (replace(h[-1], z_far=h[-1].z_far + 1e-15),),
+         lambda h: h[:-1] + (replace(h[-1], res_s=h[-1].res_s + 1e-15),)],
+        ids=["length", "index", "point", "residual"],
+    )
+    def test_history_drift_is_a_determinism_violation(self, tmp_path, monkeypatch,
+                                                     capsys, drift):
+        calls = []
+        real_solve = cli._solve
+
+        def fake_solve(*args):
+            report = real_solve(*args)
+            calls.append(report)
+            if len(calls) == 4:  # the second solve at two workers drifts
+                report = replace(report, history=drift(report.history))
+            return report
+
+        monkeypatch.setattr(cli, "_solve", fake_solve)
+        cfg = write_config(tmp_path, small_benchmark_config(max_iter=5))
+        assert main(["bench", "--config", cfg, "--workers-list", "1,2"]) == (
+            EXIT_SOLVER_FAILURE)
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "determinism-violation",
+            "detail": "histories differ between workers=1 and workers=2"}
 
     @pytest.mark.parametrize(
         "overrides",
@@ -621,6 +715,22 @@ class TestInlineParts:
         assert main(["run", "--config", write_config(tmp_path, data)]) == EXIT_INVALID_CONFIG
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [(cli.run, ProjectionFailure),
+     (lambda config: cli.bench(config, [1]), ProjectionFailure),
+     (lambda config: cli.validate(replace(
+         config, schedule={"r": {"kind": "constant", "value": 0.5}})), ValueError)],
+    ids=["run", "bench", "validate"],
+)
+def test_subcommand_called_as_a_function_raises_a_solver_failure(capsys, call, error):
+    # main alone turns a solver failure into its line and exit code 2.
+    config = RunConfig.from_dict(small_benchmark_config(projection_max_sweeps=1))
+    with pytest.raises(error):
+        call(config)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["run", "bench", "validate", "solve"])
 def test_one_schedule_scan_per_invocation(tmp_path, monkeypatch, capsys, command):
     scans = []
@@ -648,3 +758,85 @@ def test_shipped_config_builds(path):
     config = load_config(path)
     built = cli.build_inputs(config, cli.resolve_workers(None, config))
     assert built.x0.size == built.family.base.dim
+
+
+class Recording(dict):
+    """A config object that records every key read from it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# One valid object per kind of every builder table, holding all its keys.
+FULL_PARTS = {
+    "_BASES": [{"kind": "box", "lo": [-1.0], "hi": [1.0]},
+               {"kind": "ball", "center": [0.0], "radius": 1.0}],
+    "_PROFILES": [{"kind": "affine", "slope": 1.0, "shift": 0.0}],
+    "_BIFUNCTIONS": [{"variant": "zero"}, {"variant": "section4", "xi": 0.0},
+                     scalar_monotone()],
+    "_OPERATORS": [{"variant": "zero"},
+                   {"variant": "affine", "gain": 1.0, "root": [0.5]}],
+    "_MAPS": [{"variant": "identity"}, {"variant": "section4", "c": 1.5}],
+    "_SOLUTIONS": [{"kind": "interval", "lo": -1.0, "hi": 0.0},
+                   {"kind": "point", "value": [0.5]}],
+    "_SEQUENCES": [{"kind": "constant", "value": 0.5},
+                   {"kind": "inverse_offset", "offset": 2, "scale": 1.0}],
+}
+
+
+class TestKeyTables:
+    """Each kind's keys are written twice, in its frozenset and in the
+    reads of its builder; these tests keep the two the same."""
+
+    @pytest.mark.parametrize("table", FULL_PARTS)
+    def test_builders_read_exactly_their_keys(self, table):
+        builders = getattr(cli, table)
+        tag = "variant" if "variant" in FULL_PARTS[table][0] else "kind"
+        assert sorted(part[tag] for part in FULL_PARTS[table]) == sorted(builders)
+        for part in FULL_PARTS[table]:
+            spec = Recording(part)
+            cli._build(builders, spec, table, tag)
+            assert spec.read == builders[part[tag]][1], part[tag]
+
+    def test_root_reads_exactly_its_fields(self):
+        raw = Recording(RunConfig(problem={}, x0=(1.0,)).to_dict())
+        RunConfig.from_dict(raw)
+        assert raw.read == set(RunConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+    def test_problem_schedule_and_stop_read_exactly_their_keys(self, preset):
+        if preset == "section4":
+            problem = {"preset": preset, "N": 4, "M": 4}
+        else:
+            problem = {"preset": preset, "base": FULL_PARTS["_BASES"][0],
+                       "bifunctions": [] if preset == "cor2" else [{"variant": "zero"}],
+                       "operators": [{"variant": "zero"}],
+                       "maps": [{"variant": "identity"}],
+                       "known_solution": {"kind": "point", "value": [0.0]}}
+        stops = [{"rule": "budget"}, {"rule": "residual", "tol": 1e-3},
+                 {"rule": "tol_to_reference", "l": 6, "reference": [0.0]},
+                 {"rule": "tol_to_reference", "tol": 1e-6, "reference": [0.0]}]
+        for stop in stops:
+            config = RunConfig(
+                problem=Recording(problem), x0=(0.5,), stop=Recording(stop),
+                schedule=Recording({"alpha": FULL_PARTS["_SEQUENCES"][1],
+                                    "beta": FULL_PARTS["_SEQUENCES"][0],
+                                    "r": FULL_PARTS["_SEQUENCES"][0], "omega": 1.0}),
+            )
+            cli._assemble(config, 1)
+            assert config.problem.read == cli._PROBLEM_KEYS[preset]
+            assert config.schedule.read == cli._SCHEDULE_KEYS
+            assert config.stop.read == cli._STOP_KEYS[stop["rule"]]

@@ -40,10 +40,33 @@ class TestProjectBase:
     def test_bad_box_bounds(self):
         with pytest.raises(ValueError):
             Box(lo=[1.0], hi=[-1.0])
+        with pytest.raises(ValueError, match="box bounds must share a shape"):
+            Box(lo=[-1.0, -1.0], hi=[1.0])
 
     def test_bad_ball_radius(self):
         with pytest.raises(ValueError):
             Ball(center=[0.0], radius=0.0)
+
+    @pytest.mark.parametrize("base", [
+        Box(lo=[-1.0, 0.5, 2.0], hi=[1.0, 0.75, 2.0]),
+        Ball(center=[0.2, -0.1, 0.0], radius=1.5),
+        # BaseSet.sample: a standard normal draw, projected.
+        CustomSet(projection=lambda p: np.clip(p, -0.2, 0.3), dimension=3),
+    ], ids=["box", "ball", "custom"])
+    def test_samples_lie_in_the_set_and_follow_the_seed(self, base):
+        draws = [[base.sample(np.random.default_rng(seed)) for _ in range(2)]
+                 for seed in (5, 5)]
+        for point in draws[0]:
+            assert point.shape == (3,) and base.contains(point, 0.0)
+        np.testing.assert_array_equal(draws[0], draws[1])
+
+    def test_ball_sample_of_a_zero_direction_is_the_centre(self):
+        class ZeroNormal:
+            def standard_normal(self, d):
+                return np.zeros(d)
+
+        ball = Ball(center=[0.2, -0.1], radius=1.5)
+        np.testing.assert_array_equal(ball.sample(ZeroNormal()), ball.center)
 
 
 class TestHalfspaceFromIterate:
@@ -78,6 +101,17 @@ class TestHalfspaceFromIterate:
         with pytest.raises(ValueError):
             Halfspace(normal=np.zeros(2), offset=-1.0)
 
+    @pytest.mark.parametrize("normal, offset, match", [
+        ([1.0, np.nan], 0.0, "normal must be a finite 1-D vector"),
+        ([np.inf], 0.0, "normal must be a finite 1-D vector"),
+        ([[1.0]], 0.0, "normal must be a finite 1-D vector"),
+        ([1.0], np.nan, "offset must be finite"),
+        ([1.0], -np.inf, "offset must be finite"),
+    ], ids=["normal-nan", "normal-inf", "normal-2d", "offset-nan", "offset-inf"])
+    def test_non_finite_halfspace_rejected(self, normal, offset, match):
+        with pytest.raises(ValueError, match=match):
+            Halfspace(normal=np.array(normal), offset=offset)
+
     def test_membership_identity_on_random_data(self):
         # <a, v> - b must equal ||zbar - v||^2 - ||x - v||^2 - eps identically
         rng = np.random.default_rng(7)
@@ -107,6 +141,11 @@ class TestContains:
         nested = NestedSet(base=box1d())
         with pytest.raises(ValueError):
             nested.add_cut(Halfspace(normal=np.array([1.0, 1.0]), offset=0.0))
+
+    @pytest.mark.parametrize("check", [contains, project_nested])
+    def test_point_dimension_checked(self, check):
+        with pytest.raises(ValueError, match="point dimension does not match the set"):
+            check(NestedSet(base=box1d()), [0.5, 0.5])
 
     def test_constructor_cuts_dimension_checked(self):
         # Checked like add_cut, rather than failing inside a projection.

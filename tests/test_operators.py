@@ -277,6 +277,24 @@ class TestResolventFailure:
         assert (lo, hi) == (-1.0, 1.0)
         assert math.isnan(g_lo) and math.isnan(g_hi)
 
+    @pytest.mark.parametrize("make_profile, x, tol, at", [
+        # The first secant point of g(z) = 2z - 0.9 on the bracket [-1, 0.9].
+        (lambda: lambda z: math.nan if 0.3 < z < 0.6 else z, 0.9, TOL,
+         0.44999999999999996),
+        # The closing probe of test_probe_that_rounds_to_m_takes_the_adjacent_double.
+        (lambda: lambda z: math.nan if z == math.nextafter(0.50048828125, 1.0)
+         else z - 1.0, 2.0 ** -10 + 2.0 ** -60, TOL, math.nextafter(0.50048828125, 1.0)),
+        # NaN from the first call after the step budget (both ends, x and one
+        # call per step), which evaluates g at the bracket ends it reports.
+        (lambda: _nan_after(MAX_STEPS + 3, step_profile), 0.5, 1e-300, 0.29999999999999993),
+    ], ids=["secant-point", "closing-probe", "failure-payload"])
+    def test_nan_names_its_point(self, make_profile, x, tol, at):
+        with pytest.raises(ResolventFailure, match=f"NaN at z={at!r}$") as info:
+            resolvent_scalar(make_profile(), 1.0, x, -1.0, 1.0, tol=tol)
+        lo, hi, g_lo, g_hi = info.value.bracket
+        assert (lo, hi) == (-1.0, 1.0)
+        assert math.isnan(g_lo) and math.isnan(g_hi)
+
     def test_step_budget_exhausted(self):
         with pytest.raises(ResolventFailure, match=f"after {MAX_STEPS} steps") as info:
             resolvent_scalar(step_profile, 1.0, 0.5, -1.0, 1.0, tol=1e-300)
@@ -284,6 +302,41 @@ class TestResolventFailure:
         # The bracket has closed on the jump but cannot narrow below a ulp.
         assert a < 0.3 <= b and 1e-300 < b - a <= 1e-15
         assert g_a < 0.0 < g_b
+
+
+def _nan_after(calls: int, profile):
+    """``profile`` until it has been called ``calls`` times, then NaN."""
+    count = [0]
+
+    def late(z: float) -> float:
+        count[0] += 1
+        return math.nan if count[0] > calls else profile(z)
+
+    return late
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: resolvent_scalar(lambda z: z, 0.0, 0.5, -1.0, 1.0), "step size"),
+    (lambda: resolvent_scalar(lambda z: z, -1.0, 0.5, -1.0, 1.0), "step size"),
+    (lambda: resolvent_scalar(lambda z: z, 1.0, 0.5, 1.0, 1.0), "lo < hi"),
+    (lambda: resolvent_scalar(lambda z: z, 1.0, 0.5, 1.0, -1.0), "lo < hi"),
+    (lambda: resolvent_scalar(lambda z: z, 1.0, 0.5, -1.0, 1.0, tol=0.0), "tolerance"),
+    (lambda: resolvent_scalar(lambda z: z, 1.0, 0.5, -1.0, 1.0, tol=-1.0), "tolerance"),
+    (lambda: ScalarMonotoneBifunction(profile=lambda z: z, lo=1.0, hi=1.0), "lo < hi"),
+    (lambda: ScalarMonotoneBifunction(profile=lambda z: z, lo=-1.0, hi=1.0).resolve(
+        1.0, np.array([0.1, 0.2]), Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])), "1-D problem"),
+    (lambda: affine_operator(0.0, [0.5]), "positive gain"),
+    (lambda: affine_operator(-2.0, [0.5]), "positive gain"),
+    (lambda: IsmOperator(map=lambda x: x, alpha=0.0), "modulus must be positive"),
+    (lambda: PseudoContraction(map=lambda x: x, kappa=1.0), r"\[0, 1\)"),
+    (lambda: verify_family(ProblemFamily.from_members(BASE, [], [identity_map()]),
+                           samples=0), "at least one sample pair"),
+], ids=["r-zero", "r-negative", "lo-equals-hi", "lo-above-hi", "tol-zero",
+        "tol-negative", "bifunction-interval", "scalar-resolve-2d", "gain-zero",
+        "gain-negative", "modulus-zero", "kappa-one", "no-samples"])
+def test_out_of_range_argument_refused(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
 
 
 def _halve_in_place(v):

@@ -549,6 +549,17 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("section4", base=Box(lo=[-1.0], hi=[1.0]))
 
+    @pytest.mark.parametrize("refused, match", [
+        (lambda: section4_map(1.0), r"must lie in \(1, 2\)"),
+        (lambda: section4_map(2.0), r"must lie in \(1, 2\)"),
+        (lambda: preset("cor2", base=Box(lo=[-1.0], hi=[1.0]),
+                        bifunctions=[section4_bifunction(0.0)],
+                        operators=[zero_operator()]), "cor2 takes operators only"),
+    ], ids=["c-one", "c-two", "cor2-bifunctions"])
+    def test_out_of_range_part_refused(self, refused, match):
+        with pytest.raises(ValueError, match=match):
+            refused()
+
 
 class TestDefaultSchedule:
     def test_norm_bound_box_and_ball(self):

@@ -581,6 +581,86 @@ class TestSolve:
         with pytest.raises(ValueError, match="inadmissible schedule"):
             solve(family, bad, SolverConfig(max_iter=5), [1.0])
 
+    @pytest.mark.parametrize(
+        "make_rule",
+        [lambda tol: ToleranceToReference(reference=[0.0], tol=tol), ResidualBelow],
+        ids=["tol_to_reference", "residual"],
+    )
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_stop_tolerance_refused(self, make_rule, tol):
+        with pytest.raises(ValueError, match="stop tolerance must be positive"):
+            make_rule(tol)
+
+
+def _cor1_without_maps():
+    return preset(
+        "cor1", base=BASE,
+        bifunctions=[CustomBifunction(lambda r, w, s=s: w / (1 + r * s))
+                     for s in (0.5, 1.0, 2.0)],
+        operators=[affine_operator(1.0, [0.0]), affine_operator(2.0, [0.0])],
+    )
+
+
+def _cor2_on_the_disc():
+    return preset(
+        "cor2", base=Ball([0.0, 0.0], 1.0),
+        operators=[affine_operator(1.0, [0.5, 0.2]), affine_operator(2.0, [0.5, 0.2])],
+    )
+
+
+# (family, anchor, answer, iterations, largest gap to the answer). The disc
+# stops at 12 iterations: the false InfeasibleSetError of ROADMAP item 2
+# fires at iteration 14.
+KIND_FREE_FAMILIES = {
+    "cor1-without-maps": (_cor1_without_maps, [0.9], [0.0], 40, 1e-9),
+    "cor2-without-maps": (
+        lambda: preset("cor2", base=BASE, operators=[affine_operator(1.0, [0.5])]),
+        [1.0], [0.5], 40, 1e-9),
+    "cor2-disc-without-maps": (_cor2_on_the_disc, [0.6, -0.5], [0.5, 0.2], 12, 5e-3),
+    # Maps only: x - 1.5 x^2 fixes [-1, 0], approached like 2 / n.
+    "cor5-without-pairs": (
+        lambda: preset("cor5", base=BASE, maps=[section4_map(1.5)]),
+        [0.9], [0.0], 100, 0.025),
+}
+
+
+class TestFamiliesWithoutAKind:
+    """A family without mappings takes the general relaxed step with S = I,
+    and one without pairs takes x itself as its resolvent candidate."""
+
+    @pytest.mark.parametrize("name", KIND_FREE_FAMILIES)
+    def test_reaches_its_answer_alike_at_1_and_2_workers(self, name):
+        make, x0, answer, iterations, gap = KIND_FREE_FAMILIES[name]
+        family, cfg, sched = make()
+        runs = [solve(family, sched, replace(cfg, max_iter=iterations, workers=w,
+                                             record_history=True), x0)
+                for w in (1, 2)]
+        assert np.linalg.norm(runs[0].final_x - answer) <= gap
+        assert runs[0].final_x.tobytes() == runs[1].final_x.tobytes()
+        for a, b in zip(*(run.history for run in runs), strict=True):
+            for field in ("x_prev", "x_new", "y_far", "z_far", "i_far", "j_far",
+                          "blocks_y", "blocks_z", "eps", "res_y", "res_z", "res_s"):
+                got, want = getattr(a, field), getattr(b, field)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+    @pytest.mark.parametrize("name", KIND_FREE_FAMILIES)
+    def test_missing_kind_leaves_its_phase_a_no_op(self, name):
+        make, x0, _, iterations, _ = KIND_FREE_FAMILIES[name]
+        family, cfg, sched = make()
+        report = solve(family, sched, replace(cfg, max_iter=iterations,
+                                              record_history=True), x0)
+        for rec in report.history:
+            if family.n_maps:
+                assert rec.i_far == -1 and rec.blocks_y == 0 and rec.res_y == 0.0
+                assert rec.y_far.tobytes() == rec.x_prev.tobytes()
+                continue
+            # The default schedule's beta_n is kappa = 0, where the general
+            # step has the closed form's bits.
+            alpha = sched.alpha_fn(rec.n)
+            closed = alpha * rec.x_prev + (1.0 - alpha) * rec.y_far
+            assert rec.z_far.tobytes() == closed.tobytes()
+            assert rec.j_far == -1 and rec.blocks_z == 0 and rec.res_s == 0.0
+
 
 def _halve_in_place(v):
     v *= 0.5
