@@ -40,7 +40,7 @@ from .operators import (
     zero_operator,
 )
 from .problems import (
-    PRESET_NAMES,
+    PRESET_PARTS,
     IntervalSolution,
     PointSolution,
     build_section4,
@@ -300,14 +300,15 @@ _SEQUENCES = {
     "constant": (_constant, frozenset({"kind", "value"})),
     "inverse_offset": (_inverse_offset, frozenset({"kind", "offset", "scale"})),
 }
+_PARTS = {"bifunctions": _BIFUNCTIONS, "operators": _OPERATORS, "maps": _MAPS}
 # The keys of the objects that ``_assemble`` reads itself: the schedule, the
-# problem by preset and the stop by rule.
+# problem by preset (a reduced scheme holds only the parts its preset takes)
+# and the stop by rule.
 _SCHEDULE_KEYS = frozenset({"alpha", "beta", "r", "omega"})
 _PROBLEM_KEYS = {
-    name: frozenset({"preset", "N", "M"} if name == "section4" else
-                    {"preset", "base", "bifunctions", "operators", "maps",
-                     "known_solution"})
-    for name in PRESET_NAMES
+    "section4": frozenset({"preset", "N", "M"}),
+    **{name: frozenset({"preset", "base", "known_solution", *parts})
+       for name, parts in PRESET_PARTS.items()},
 }
 _STOP_KEYS = {
     "tol_to_reference": frozenset({"rule", "l", "tol", "reference"}),
@@ -355,9 +356,8 @@ def _assemble(config: RunConfig, workers: int) -> BuildResult:
             )
         else:
             parts = {
-                key: [_build(builders, s, key) for s in _read(problem, key, _list, [])]
-                for key, builders in (("bifunctions", _BIFUNCTIONS),
-                                      ("operators", _OPERATORS), ("maps", _MAPS))
+                key: [_build(_PARTS[key], s, key) for s in _read(problem, key, _list, [])]
+                for key in PRESET_PARTS[name]
             }
             solution = problem.get("known_solution")
             family, _, sched = preset(

@@ -104,6 +104,12 @@ class BaseSet(ABC):
         """Draw a point of the set; default projects a standard normal draw."""
         return self.project(rng.standard_normal(self.dim))
 
+    def _check_point(self, p) -> None:
+        """Refuse a point of a shape other than ``(dim,)``: numpy would broadcast it."""
+        if np.shape(p) != (self.dim,):
+            raise ValueError(f"point dimension does not match the set: shape "
+                             f"{np.shape(p)}, dimension {self.dim}")
+
 
 @dataclass(frozen=True)
 class Box(BaseSet):
@@ -125,9 +131,11 @@ class Box(BaseSet):
         return self.lo.size
 
     def project(self, p: np.ndarray) -> np.ndarray:
+        self._check_point(p)
         return np.clip(p, self.lo, self.hi)
 
     def contains(self, p: np.ndarray, tol: float = DEFAULT_CONTAINS_TOL) -> bool:
+        self._check_point(p)
         return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -151,6 +159,7 @@ class Ball(BaseSet):
         return self.center.size
 
     def project(self, p: np.ndarray) -> np.ndarray:
+        self._check_point(p)
         gap = p - self.center
         dist = float(np.linalg.norm(gap))
         if dist <= self.radius:
@@ -158,6 +167,7 @@ class Ball(BaseSet):
         return self.center + gap * (self.radius / dist)
 
     def contains(self, p: np.ndarray, tol: float = DEFAULT_CONTAINS_TOL) -> bool:
+        self._check_point(p)
         return float(np.linalg.norm(p - self.center)) <= self.radius + tol
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -185,6 +195,7 @@ class CustomSet(BaseSet):
         return self.dimension
 
     def project(self, p: np.ndarray) -> np.ndarray:
+        self._check_point(p)
         return np.asarray(self.projection(p), dtype=np.float64)
 
     def contains(self, p: np.ndarray, tol: float = DEFAULT_CONTAINS_TOL) -> bool:

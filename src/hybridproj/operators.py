@@ -13,7 +13,6 @@ objects one by one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -171,7 +170,8 @@ class PseudoContraction:
     ``||S^n x - S^n y||^2 <= k_n ||x - y||^2 + kappa ||(I-S^n)x - (I-S^n)y||^2``
     must hold for every power ``n >= 1`` with ``k_n -> 1``; plain maps
     satisfy it for ``n = 1`` with ``k = 1`` and are always applied at power
-    one by the solver. The map must be a deterministic function of its
+    one by the solver. Calling the object returns the map's result as a
+    flat float64 vector. The map must be a deterministic function of its
     argument: a power stops at the first application that returns its input
     bit for bit, since every further application would return it again.
     """
@@ -186,7 +186,7 @@ class PseudoContraction:
             raise ValueError("pseudocontraction constant must lie in [0, 1)")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.map(x), dtype=np.float64)
+        return np.asarray(self.map(x), dtype=np.float64).reshape(-1)
 
 
 def identity_map() -> PseudoContraction:
@@ -335,9 +335,9 @@ class ProblemFamily:
         def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
             _check_step(r)
             xv = as_vector(x)
-            # In one dimension, at a finite step, a scalar pair gets the root
-            # its resolve finds, on the float coordinate.
-            scalar = xv.size == 1 and r < math.inf
+            # In one dimension a scalar pair gets the root its resolve finds,
+            # on the float coordinate.
+            scalar = xv.size == 1
             x0 = float(xv[0])
             rows = []
             for i in range(lo, hi):
@@ -395,24 +395,15 @@ class ProblemFamily:
 def _block(results: list, d: int, kind: str, lo: int) -> np.ndarray:
     """Member results ``lo..`` as one ``(len(results), d)`` float64 array.
 
-    One conversion serves the whole block. Rows that are lists or tuples of
-    ``d`` items, such as the one-element lists section4's mappings return,
-    are read in one flat pass; other rows (floats, arrays) go through one
-    array call. Results of mixed shapes (a float next to a 1-element array)
-    take a conversion per row. A result that does not hold ``d`` values, or
-    does not convert at all, raises ``ValueError`` naming its member; it is
-    never broadcast across the row.
+    One array call converts the whole block. Results of mixed shapes (a
+    float next to a 1-element array) take a conversion per row. A result
+    that does not hold ``d`` values, or does not convert at all, raises
+    ``ValueError`` naming its member; it is never broadcast across the row.
     """
     n = len(results)
     try:
-        if n and isinstance(results[0], (list, tuple)) and set(map(len, results)) == {d}:
-            # With d items in every row, the flat pass yields n * d values;
-            # an item that is not one value raises.
-            flat = itertools.chain.from_iterable(results)
-            block = np.fromiter(flat, np.float64, count=n * d)
-        else:
-            block = np.array(results, dtype=np.float64)
-    except (TypeError, ValueError):  # rows without a length, or of unequal shapes
+        block = np.array(results, dtype=np.float64)
+    except (TypeError, ValueError):  # rows of unequal shapes, or not numbers
         block = None
     if block is not None and block.size == n * d:
         return block.reshape(n, d)
@@ -430,18 +421,14 @@ def _block(results: list, d: int, kind: str, lo: int) -> np.ndarray:
 
 
 def _check_step(r: float) -> None:
-    if not r > 0:
-        raise ValueError("resolvent step size must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("resolvent step size must be positive and finite")
 
 
 def _resolve(f: Bifunction, A: IsmOperator, r: float, xv: np.ndarray,
              base: BaseSet) -> np.ndarray:
-    # The forward step of a zero operator is a copy: for finite xv and r,
-    # xv - r * 0 has the same bits as xv. The operator and the bifunction
-    # each see a fresh array, so a member that writes to its input cannot
-    # reach the caller or the next member.
-    if A.map is np.zeros_like and r < math.inf:
-        return f.resolve(r, xv.copy(), base)
+    # The operator gets a copy and the bifunction a fresh array, so a member
+    # that writes to its input cannot reach the caller or the next member.
     return f.resolve(r, xv - r * A(xv.copy()), base)
 
 
@@ -449,11 +436,10 @@ def resolvent(f: Bifunction, A: IsmOperator, r: float, x, base: BaseSet) -> np.n
     """Resolvent step ``T_r(x - r * A(x))`` of one bifunction/operator pair.
 
     With the zero bifunction this reduces to the base projection of the
-    forward step; with a zero operator it is the pure equilibrium resolvent.
-    A zero operator (``map`` is ``np.zeros_like``, as :func:`zero_operator`
-    builds it) skips the forward-step arithmetic and hands the bifunction a
-    copy of ``x``; the result is the same bits, and never ``x`` itself. The
-    bifunction sets the accuracy (a scalar one: :func:`resolvent_scalar`'s).
+    forward step; with a zero operator it is the pure equilibrium resolvent,
+    for ``x - r * 0`` has the bits of ``x`` at a finite step. The step must
+    be positive and finite. The bifunction sets the accuracy (a scalar one:
+    :func:`resolvent_scalar`'s).
     """
     _check_step(r)
     return _resolve(f, A, r, as_vector(x), base)
@@ -500,8 +486,7 @@ def resolvent_scalar(
         ResolventFailure: ``g`` was NaN at a point (the first one, ``lo``
             before ``hi``, is named) or the step budget ran out.
     """
-    if not r > 0:
-        raise ValueError("resolvent step size must be positive")
+    _check_step(r)
     if not lo < hi:
         raise ValueError("bracket requires lo < hi")
     if not tol > 0:
@@ -620,8 +605,9 @@ def _scalar_root(
 
 
 def _check_power(n: int) -> None:
-    if n < 0 or n != int(n):
-        raise ValueError("power must be a nonnegative integer")
+    # SolverConfig's integer test: an int or numpy integer, never a bool.
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"power must be a nonnegative integer, got {n!r}")
 
 
 def _power(S: PseudoContraction, n: int, point: np.ndarray) -> np.ndarray:

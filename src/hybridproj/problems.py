@@ -49,7 +49,14 @@ __all__ = [
 # (singularity at u = pi/2, approx 1.5708).
 _TAN_BRACKET_SPAN = 1.5
 
-PRESET_NAMES = ("section4", "cor1", "cor2", "cor3", "cor4", "cor5")
+# The parts each reduced-scheme preset takes; ``preset`` refuses any other.
+PRESET_PARTS = {
+    "cor1": ("bifunctions", "operators", "maps"),
+    "cor2": ("operators", "maps"),
+    "cor3": ("bifunctions", "operators", "maps"),
+    "cor4": ("bifunctions", "operators", "maps"),
+    "cor5": ("bifunctions", "maps"),
+}
 
 
 @dataclass(frozen=True)
@@ -136,16 +143,16 @@ def section4_map(c: float) -> PseudoContraction:
     if not 1.0 < c < 2.0:
         raise ValueError("quadratic-drop coefficient must lie in (1, 2)")
 
-    def mapping(v: np.ndarray) -> list[float]:
+    def mapping(v: np.ndarray) -> float:
         # Float arithmetic, like the bifunction's profile: numpy calls on a
         # 1-element array cost about seven times as much. Grouped as
-        # c * (x * x) to agree bitwise with the chunk kernel. A list, not an
-        # array: S(x) converts it, and a member kernel converts a whole
-        # block of results at once.
+        # c * (x * x) to agree bitwise with the chunk kernel. A float, not
+        # an array: S(x) converts it to a vector, and a member kernel
+        # converts a whole block of results at once.
         if len(v) != 1:
             raise ValueError("section4 map requires a 1-D problem")
         x = float(v[0])
-        return [x if x < 0.0 else x - c * (x * x)]
+        return x if x < 0.0 else x - c * (x * x)
 
     return PseudoContraction(map=mapping, kappa=1.0 - 1.0 / c)
 
@@ -417,22 +424,25 @@ def preset(name: str, *, base: BaseSet, bifunctions=(), operators=(), maps=(),
       ``(||x_n|| + omega)^2`` and the mapping relaxation is zero.
     - ``cor5``: equilibrium members and plain mappings. Its cuts are exact:
       plain mappings hold with ``k_n = 1``, where the slack vanishes.
+
+    A part outside the preset's ``PRESET_PARTS`` entry is refused, not dropped.
     """
     if name == "section4":
         raise ValueError("use build_section4 for the benchmark preset")
-    if name not in PRESET_NAMES:
+    if name not in PRESET_PARTS:
         raise ValueError(f"unknown preset {name!r}")
-    bifunctions = tuple(bifunctions)
-    operators = tuple(operators)
-    maps = tuple(maps)
+    bifunctions, operators, maps = tuple(bifunctions), tuple(operators), tuple(maps)
+    for part, given in (("bifunctions", bifunctions), ("operators", operators),
+                        ("maps", maps)):
+        if given and part not in PRESET_PARTS[name]:
+            raise ValueError(f"{name} takes no {part}; its parts are "
+                             f"{', '.join(PRESET_PARTS[name])}")
 
     if name == "cor1":
         geps = tuple((f, zero_operator()) for f in bifunctions) + tuple(
             (ZeroBifunction(), A) for A in operators
         )
     elif name == "cor2":
-        if bifunctions:
-            raise ValueError("cor2 takes operators only; bifunctions are zero")
         geps = tuple((ZeroBifunction(), A) for A in operators)
     elif name == "cor3":
         if not (len(bifunctions) == 1 and len(operators) == 1 and len(maps) == 1):

@@ -59,8 +59,9 @@ class ParamSchedule:
     """The method's control sequences and ``omega``, a bound on every
     solution's norm; ``kappa``, the modulus ``alpha`` and ``k_n`` are the
     family's. :meth:`violations` checks ``0 < alpha_n < 1``,
-    ``kappa <= beta_n < 1`` and ``0 < r_n < 2 * alpha`` on a finite prefix,
-    whose extremes serve as the paper's bounds ``b``, ``d`` and ``e``.
+    ``kappa <= beta_n < 1`` and ``0 < r_n < 2 * alpha`` (``r_n`` finite when
+    every operator is zero) on a finite prefix, whose extremes serve as the
+    paper's bounds ``b``, ``d`` and ``e``.
     """
 
     alpha_fn: Callable[[int], float]
@@ -75,8 +76,8 @@ class ParamSchedule:
         problems: list[str] = []
         if not 0 <= self.omega < math.inf:
             problems.append(f"omega={self.omega!r} must be nonnegative and finite")
-        if math.isinf(ism_alpha):  # every operator is zero: no upper bound
-            step = (lambda v: 0.0 < v, "must be positive")
+        if math.isinf(ism_alpha):  # every operator is zero: any finite step
+            step = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
         else:
             step = (lambda v: 0.0 < v < 2.0 * ism_alpha,
                     f"must be positive and below twice the modulus {ism_alpha!r}")

@@ -433,9 +433,10 @@ def declared_bound_violations(alpha_fn, beta_fn, r_fn, k_fn, omega, b, d, e,
                               kappa, ism_alpha, count, k_floor=lambda n: 1,
                               cap=100_000) -> list[str]:
     """The schedule rule with declared bounds: ``0 < alpha_n < 1``,
-    ``kappa <= beta_n <= b < 1``, ``0 < d <= r_n <= e < 2 * ism_alpha`` (no
-    upper bound for an infinite modulus), ``k_n >= max(1, k_floor(n))`` and
-    a finite ``omega >= 0``, over the first ``min(count, cap)`` terms."""
+    ``kappa <= beta_n <= b < 1``, ``0 < d <= r_n <= e < 2 * ism_alpha`` (``e``
+    finite and below twice the modulus, so finite for an infinite modulus),
+    ``k_n >= max(1, k_floor(n))`` and a finite ``omega >= 0``, over the
+    first ``min(count, cap)`` terms."""
     problems = []
     if not 0 <= omega < math.inf:
         problems.append("omega")
@@ -445,7 +446,7 @@ def declared_bound_violations(alpha_fn, beta_fn, r_fn, k_fn, omega, b, d, e,
         problems.append("b at least kappa")
     if not 0.0 < d <= e:
         problems.append("0 < d <= e")
-    if math.isfinite(ism_alpha) and not e < 2.0 * ism_alpha:
+    if not (math.isfinite(e) and e < 2.0 * ism_alpha):
         problems.append("e below twice the modulus")
     prefixes = (
         ("alpha", alpha_fn, lambda n, v: 0.0 < v < 1.0),

@@ -20,7 +20,7 @@ from hybridproj.cli import (
     main,
 )
 from hybridproj.geometry import ProjectionFailure
-from hybridproj.problems import build_section4
+from hybridproj.problems import PRESET_PARTS, build_section4
 from hybridproj.solver import ParamSchedule, SolverConfig, solve
 
 
@@ -168,7 +168,8 @@ class TestRunConfig:
             ({"stop": {"rule": "tol_to_reference", "l": True}}, "l"),
             ({"record_history": "no"}, "record_history"),
             ({"out": 5}, "out"),
-            ({"problem": dict(COR5_PROBLEM, operators={})}, "operators"),
+            ({"problem": dict(COR5_PROBLEM, preset="cor1", operators={})},
+             "operators"),
             ({"seed": -1}, "seed"),
             ({"projection_tol": 0.0}, "projection_tol"),
             ({"projection_max_sweeps": 0}, "projection_max_sweeps"),
@@ -195,6 +196,9 @@ class TestRunConfig:
                 scalar_monotone(shfit=0.0)])}, "shfit"),
             ({"schedule": {"alpha": {"kind": "inverse_offset", "ofset": 3}}}, "ofset"),
             ({"schedule": {"alpha": {"kind": "inverse_offset", "scael": 2}}}, "scael"),
+            # A part outside the preset's table is an unknown key, never dropped.
+            ({"problem": dict(COR5_PROBLEM, operators=[
+                {"variant": "affine", "gain": 1.0, "root": [0.5]}])}, "operators"),
         ],
         ids=[
             "x0-1.0", "x0-None", "max_iter-5", "workers-2", "projection_tol-x",
@@ -208,7 +212,7 @@ class TestRunConfig:
             "k-retired", "d-retired", "e-retired", "problem-mapz",
             "section4-omega", "section4-base", "cor5-omega", "box-radius",
             "budget-tol", "l-and-tol", "profile-slop", "profile-shfit",
-            "offset-typo", "scale-typo",
+            "offset-typo", "scale-typo", "cor5-operators",
         ],
     )
     def test_malformed_value_is_invalid_config(self, tmp_path, capsys, overrides, key):
@@ -224,7 +228,8 @@ class TestRunConfig:
             ({"problem": dict(COR5_PROBLEM, base={
                 "kind": "box", "lo": [-1.0], "hi": [True]})}, "got [true]"),
             ({"x0": None}, "got null"),
-            ({"problem": dict(COR5_PROBLEM, operators={"variant": "zero"})},
+            ({"problem": dict(COR5_PROBLEM, preset="cor1",
+                              operators={"variant": "zero"})},
              'got {"variant": "zero"}'),
             ({"problem": dict(COR5_PROBLEM, base="box")}, 'got "box"'),
             ({"problem": dict(COR5_PROBLEM, maps=[{"c": 1.5}])},
@@ -816,16 +821,17 @@ class TestKeyTables:
         RunConfig.from_dict(raw)
         assert raw.read == set(RunConfig.__dataclass_fields__)
 
-    @pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+    @pytest.mark.parametrize("preset", list(cli._PROBLEM_KEYS))
     def test_problem_schedule_and_stop_read_exactly_their_keys(self, preset):
         if preset == "section4":
             problem = {"preset": preset, "N": 4, "M": 4}
         else:
+            parts = {"bifunctions": [{"variant": "zero"}],
+                     "operators": [{"variant": "zero"}],
+                     "maps": [{"variant": "identity"}]}
             problem = {"preset": preset, "base": FULL_PARTS["_BASES"][0],
-                       "bifunctions": [] if preset == "cor2" else [{"variant": "zero"}],
-                       "operators": [{"variant": "zero"}],
-                       "maps": [{"variant": "identity"}],
-                       "known_solution": {"kind": "point", "value": [0.0]}}
+                       "known_solution": {"kind": "point", "value": [0.0]},
+                       **{key: parts[key] for key in PRESET_PARTS[preset]}}
         stops = [{"rule": "budget"}, {"rule": "residual", "tol": 1e-3},
                  {"rule": "tol_to_reference", "l": 6, "reference": [0.0]},
                  {"rule": "tol_to_reference", "tol": 1e-6, "reference": [0.0]}]

@@ -37,6 +37,34 @@ class TestProjectBase:
     def test_interior_point_fixed(self):
         assert box1d().project(np.array([0.3]))[0] == 0.3
 
+    @pytest.mark.parametrize("normal, offset, point, expected", [
+        ([0.0, 0.0], 0.0, [3.0, -4.0], [3.0, -4.0]),
+        ([1.0, 1.0], 1.0, [0.25, 0.5], [0.25, 0.5]),
+        ([1.0, 1.0], 1.0, [1.0, 2.0], [0.0, 1.0]),
+    ], ids=["whole-space", "inside", "outside"])
+    def test_halfspace_projection(self, normal, offset, point, expected):
+        h = Halfspace(normal=np.array(normal), offset=offset)
+        p = np.array(point)
+        got = h.project(p)
+        np.testing.assert_array_equal(got, expected)
+        assert not np.shares_memory(got, p)
+
+    @pytest.mark.parametrize("point", [[0.5], [0.1, 0.2, 0.3], [[0.5, 0.5]]],
+                             ids=["short", "long", "row"])
+    @pytest.mark.parametrize("method", ["project", "contains"])
+    @pytest.mark.parametrize("make_base", [
+        lambda oracle: Box(lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+        lambda oracle: Ball(center=[0.0, 0.0], radius=1.0),
+        lambda oracle: CustomSet(projection=oracle, dimension=2),
+    ], ids=["box", "ball", "custom"])
+    def test_point_of_another_shape_refused(self, make_base, method, point):
+        # Unrefused, numpy broadcasts [0.5] across both coordinates.
+        seen = []
+        base = make_base(lambda p: seen.append(p) or np.clip(p, -1.0, 1.0))
+        with pytest.raises(ValueError, match="point dimension does not match the set"):
+            getattr(base, method)(np.array(point))
+        assert seen == []
+
     def test_bad_box_bounds(self):
         with pytest.raises(ValueError):
             Box(lo=[1.0], hi=[-1.0])
@@ -136,6 +164,7 @@ class TestContains:
         nested.add_cut(halfspace_from_iterate([1.0], [0.0]))
         assert not contains(nested, [0.6], tol=1e-9)
         assert contains(nested, [0.5])
+        assert not contains(nested, [-1.5])  # outside the base, inside the cut
 
     def test_cut_dimension_checked(self):
         nested = NestedSet(base=box1d())

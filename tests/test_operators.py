@@ -331,9 +331,32 @@ def _nan_after(calls: int, profile):
     (lambda: PseudoContraction(map=lambda x: x, kappa=1.0), r"\[0, 1\)"),
     (lambda: verify_family(ProblemFamily.from_members(BASE, [], [identity_map()]),
                            samples=0), "at least one sample pair"),
+    # A step is finite: r = inf would make the forward step NaN.
+    (lambda: resolvent_scalar(lambda z: z, math.inf, 0.5, -1.0, 1.0), "step size"),
+    (lambda: resolvent(ZeroBifunction(), zero_operator(), math.inf, [0.5], BASE),
+     "step size"),
+    (lambda: ProblemFamily.from_members(
+        BASE, [(ScalarMonotoneBifunction(profile=lambda z: z, lo=-1.0, hi=1.0),
+                zero_operator())], []).gep_kernel(0, 1, math.inf, np.array([0.5])),
+     "step size"),
+    (lambda: replace(ProblemFamily.from_members(BASE, [], [identity_map()]), alpha=0.0),
+     "family modulus must be positive"),
+    (lambda: replace(ProblemFamily.from_members(BASE, [], [identity_map()]), kappa=1.0),
+     r"family pseudocontraction constant must lie in \[0, 1\)"),
+    # A power is SolverConfig's integer: an int or numpy integer, not a bool.
+    (lambda: apply_power(identity_map(), True, [0.5]), "nonnegative integer"),
+    (lambda: apply_power(identity_map(), 2.0, [0.5]), "nonnegative integer"),
+    (lambda: apply_power(identity_map(), math.inf, [0.5]), "nonnegative integer"),
+    (lambda: apply_power(identity_map(), math.nan, [0.5]), "nonnegative integer"),
+    (lambda: apply_power(identity_map(), np.int64(-1), [0.5]), "nonnegative integer"),
+    (lambda: ProblemFamily.from_members(BASE, [], [identity_map()]).map_kernel(
+        0, 1, 2.0, np.array([0.5])), "nonnegative integer"),
 ], ids=["r-zero", "r-negative", "lo-equals-hi", "lo-above-hi", "tol-zero",
         "tol-negative", "bifunction-interval", "scalar-resolve-2d", "gain-zero",
-        "gain-negative", "modulus-zero", "kappa-one", "no-samples"])
+        "gain-negative", "modulus-zero", "kappa-one", "no-samples", "r-inf",
+        "resolvent-r-inf", "kernel-r-inf", "family-modulus-zero",
+        "family-kappa-one", "power-bool", "power-float", "power-inf", "power-nan",
+        "power-numpy-negative", "kernel-power-float"])
 def test_out_of_range_argument_refused(refused, match):
     with pytest.raises(ValueError, match=match):
         refused()

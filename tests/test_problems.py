@@ -322,13 +322,13 @@ class TestSection4Map:
         with pytest.raises(ValueError, match="1-D"):
             section4_map(1.5)(np.array([0.5, 0.5]))
 
-    def test_map_returns_a_list_and_the_member_an_array(self):
+    def test_map_returns_a_float_and_the_member_a_vector(self):
         s = section4_map(1.5)
         result = s.map(np.array([0.5]))
-        assert isinstance(result, list) and result == [0.5 - 1.5 * 0.25]
+        assert type(result) is float and result == 0.5 - 1.5 * 0.25
         y = s(np.array([0.5]))
         assert isinstance(y, np.ndarray) and y.dtype == np.float64
-        assert y.tolist() == [0.5 - 1.5 * 0.25]
+        assert y.shape == (1,) and y.tolist() == [0.5 - 1.5 * 0.25]
 
 
 class TestKnownSolutionSet:
@@ -554,8 +554,11 @@ class TestPresets:
         (lambda: section4_map(2.0), r"must lie in \(1, 2\)"),
         (lambda: preset("cor2", base=Box(lo=[-1.0], hi=[1.0]),
                         bifunctions=[section4_bifunction(0.0)],
-                        operators=[zero_operator()]), "cor2 takes operators only"),
-    ], ids=["c-one", "c-two", "cor2-bifunctions"])
+                        operators=[zero_operator()]), "cor2 takes no bifunctions"),
+        (lambda: preset("cor5", base=Box(lo=[-1.0], hi=[1.0]),
+                        bifunctions=[section4_bifunction(0.0)],
+                        operators=[affine_operator(1.0, [0.5])]), "cor5 takes no operators"),
+    ], ids=["c-one", "c-two", "cor2-bifunctions", "cor5-operators"])
     def test_out_of_range_part_refused(self, refused, match):
         with pytest.raises(ValueError, match=match):
             refused()

@@ -147,6 +147,18 @@ class TestScheduleValidation:
         issues = flat_schedule().violations(0.0, math.inf, 5, lambda n: 0.5)
         assert issues == ["k_0=0.5 below 1"]
 
+    def test_infinite_step_refused_when_every_operator_is_zero(self):
+        # Unrefused, r = inf passed the gate and died in iteration 0 with a
+        # NaN in the root finder.
+        family, _, sched = preset(
+            "cor5", base=BASE, bifunctions=[section4_bifunction(-0.5)],
+            maps=[section4_map(1.5)])
+        inf_step = replace(sched, r_fn=lambda n: math.inf)
+        assert inf_step.violations(family.kappa, family.alpha, 5) == [
+            "r_0=inf must be positive and finite"]
+        with pytest.raises(ValueError, match="inadmissible schedule: r_0=inf"):
+            solve(family, inf_step, SolverConfig(max_iter=5), [1.0])
+
     def test_omega_must_be_finite(self):
         sched = flat_schedule(omega=math.inf)
         assert any("omega" in s for s in sched.violations(0.0, math.inf, 5))
