@@ -50,6 +50,11 @@ __all__ = [
 MAX_STEPS = 3 * 200
 # Bracket width at which a scalar resolvent stops narrowing.
 _TOL = 1e-12
+# Rounding allowances of a member kernel's reach bound: relative to |g(x)|
+# and to the squared reach, and absolute at the scale of x and the bracket.
+# ProblemFamily.from_members derives them.
+_REACH_REL = 1e-14
+_REACH_ABS = 1e-15
 
 
 class InvalidModelError(ValueError):
@@ -233,6 +238,11 @@ class ProblemFamily:
     kernel's rounding. The reduction skips a block whose bound is strictly
     below the best distance found; a family without hooks has every block
     evaluated.
+
+    A kernel may return the evaluation point itself as the row of a member
+    that it proves strictly nearer to that point than another row of the
+    same block: such a row can neither win nor tie the reduction. The
+    member kernels of :meth:`from_members` do so for scalar resolvents.
     """
 
     base: BaseSet
@@ -299,6 +309,43 @@ class ProblemFamily:
         that raises leaves nothing stored, and a NaN end raises on every
         call. An asymptotic power stops at a bitwise fixed point, as
         :func:`apply_power` does.
+
+        In one dimension the resolvent kernel root-finds only the scalar
+        members that can hold the block's furthest row. A declared
+        nondecreasing profile (audited by :func:`verify_family`, trusted
+        here) makes ``g(z) = r * profile(z) + z - x`` rise with slope at
+        least 1, so the root lies within ``|g(x)|`` of ``x``. A first pass,
+        in index order, evaluates every general pair, every clamped member
+        and every member whose ``x`` lies outside its bracket, and returns
+        ``x`` for a member with ``g(x) = 0``; it defers every other member
+        with the reach ``|g_x| (1 + 1e-14) + tol + 1e-15 max(1, |x|, |lo|,
+        |hi|)``. A second pass takes the deferred members in descending
+        reach (index order among equal ones) and root-finds each one unless
+        ``reach * reach * (1 + 1e-14)`` is strictly below the largest float
+        squared distance ``(z - x) * (z - x)`` of a row found so far; such
+        a member's row is ``x`` itself. Every row that can win or tie the
+        block keeps its bits, so the reduction picks the same winner.
+
+        The reach covers the float arithmetic (``u = 2**-53``, bounds to
+        first order in ``u``). The float ``g_x`` differs from
+        ``r * profile(x)`` by at most ``5u |g_x| + u |x|``.
+        The returned root lies in the final bracket, of width at most
+        ``tol``, whose ends carry float ``g`` values of opposite signs; a
+        sign that rounding got wrong puts its end at most ``5u max(|z|,
+        |x|)`` past the root. So ``|z - x| <= |g_x| (1 + 5u) + tol +
+        6u max(|x|, |lo|, |hi|)``. The factor ``1 + 1e-14`` and the
+        ``1e-15`` term exceed this with room for the three roundings of the
+        reach itself (the ``max`` with 1 keeps that room above ``tol``'s
+        rounding), and the squared reach's ``1 + 1e-14`` covers the
+        ``(1 + u)**3`` of the two roundings in the squared distance and the
+        three in the squared reach.
+
+        A screened member is never root-found: a NaN profile value or an
+        exhausted step budget inside its bracket does not raise. End and
+        ``g(x)`` faults still raise. When members of one block fail, the
+        kernel raises the first fault of the first pass in index order, then
+        a result that does not convert, then the first root-finder fault in
+        descending reach.
         """
         geps = tuple(geps)
         maps = tuple(maps)
@@ -335,16 +382,21 @@ class ProblemFamily:
         def gep_kernel(lo: int, hi: int, r: float, x: np.ndarray) -> np.ndarray:
             _check_step(r)
             xv = as_vector(x)
+            if xv.size != 1:
+                return _block([_resolve(f, A, r, xv, base) for f, A in geps[lo:hi]],
+                              xv.size, "equilibrium", lo)
             # In one dimension a scalar pair gets the root its resolve finds,
-            # on the float coordinate.
-            scalar = xv.size == 1
+            # on the float coordinate. Pass 1 settles every row it can
+            # without root finding and defers each member that moves x with
+            # the reach of its root; a deferred row stays x0 until pass 2.
             x0 = float(xv[0])
-            rows = []
+            rows = [x0] * (hi - lo)
+            deferred = []
             for i in range(lo, hi):
                 member = scalars[i]
-                if member is None or not scalar:
+                if member is None:
                     f, A = geps[i]
-                    rows.append(_resolve(f, A, r, xv, base))
+                    rows[i - lo] = _resolve(f, A, r, xv, base)
                     continue
                 profile, a, b, p_a, p_b = member
                 if p_a is None:
@@ -364,10 +416,30 @@ class ProblemFamily:
                     # profile call; a NaN g(x) raises in the core.
                     g_x = r * profile(x0) + x0 - x0
                     if g_x == 0.0:
-                        rows.append(x0)
                         continue
-                rows.append(_scalar_root(profile, r, x0, a, b, g_a, g_b, _TOL, g_x))
-            return _block(rows, xv.size, "equilibrium", lo)
+                    if g_x == g_x:
+                        reach = (abs(g_x) * (1.0 + _REACH_REL) + _TOL
+                                 + _REACH_ABS * max(1.0, abs(x0), abs(a), abs(b)))
+                        deferred.append((reach, i, g_a, g_b, g_x))
+                        continue
+                rows[i - lo] = _scalar_root(profile, r, x0, a, b, g_a, g_b, _TOL, g_x)
+            block = _block(rows, 1, "equilibrium", lo)
+            if not deferred:
+                return block
+            # Pass 2: the best float squared distance so far, as the
+            # reduction computes it, screens the deferred members in
+            # descending reach (a stable sort: index order among equals).
+            gaps = block[:, 0] - x0
+            best = float(np.max(gaps * gaps))
+            deferred.sort(key=lambda entry: entry[0], reverse=True)
+            for reach, i, g_a, g_b, g_x in deferred:
+                if reach * reach * (1.0 + _REACH_REL) < best:
+                    break  # this member and every later one are screened
+                profile, a, b = scalars[i][:3]
+                z = _scalar_root(profile, r, x0, a, b, g_a, g_b, _TOL, g_x)
+                block[i - lo, 0] = z
+                best = max(best, (z - x0) * (z - x0))
+            return block
 
         def map_kernel(
             lo: int, hi: int, nominal_power: int, point: np.ndarray

@@ -43,7 +43,9 @@ __all__ = ["Furthest", "furthest_candidate", "squared_distances"]
 # Batch evaluator contract: evaluate(lo, hi) returns the candidate points for
 # members lo..hi-1 as an array of shape (hi - lo, d). It is called only for
 # members of the moved prefix. The returned array is owned by the caller and
-# may be mutated.
+# may be mutated. A row may be the evaluation point itself for a member that
+# the evaluator proves strictly nearer to it than another row of the same
+# block; _chunk_best reads only the block's furthest row, which keeps its bits.
 ChunkEvaluator = Callable[[int, int], np.ndarray]
 
 # Block bound contract: bound(lo, hi) takes the start and stop arrays of the

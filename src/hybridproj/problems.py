@@ -148,10 +148,12 @@ def section4_map(c: float) -> PseudoContraction:
         # 1-element array cost about seven times as much. Grouped as
         # c * (x * x) to agree bitwise with the chunk kernel. A float, not
         # an array: S(x) converts it to a vector, and a member kernel
-        # converts a whole block of results at once.
-        if len(v) != 1:
-            raise ValueError("section4 map requires a 1-D problem")
-        x = float(v[0])
+        # converts a whole block of results at once. One call reads the
+        # coordinate and refuses a point of another size.
+        try:
+            x = v.item()
+        except ValueError:
+            raise ValueError("section4 map requires a 1-D problem") from None
         return x if x < 0.0 else x - c * (x * x)
 
     return PseudoContraction(map=mapping, kappa=1.0 - 1.0 / c)

@@ -1,10 +1,11 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from hybridproj import operators, problems
+from hybridproj import operators, parallel, problems
 from hybridproj.geometry import Box
 from hybridproj.operators import (
     AUDIT_MEMBERS_PER_KIND,
@@ -19,6 +20,7 @@ from hybridproj.operators import (
     ZeroBifunction,
     affine_operator,
     apply_power,
+    gep_chunk_evaluator,
     identity_map,
     resolvent,
     resolvent_scalar,
@@ -32,11 +34,15 @@ from hybridproj.problems import (
     section4_bifunction,
     section4_map,
 )
+from hybridproj.parallel import furthest_candidate
 from hybridproj.solver import SolverConfig, solve
 from oracles import bisect_resolvent, counting, member_kernels_reference, power_reference
 
 BASE = Box(lo=[-1.0], hi=[1.0])
 TOL = 1e-12
+# Seeded families of the resolvent screen tests.
+SCREEN_FAMILIES = 30
+NEAR_TIE_FAMILIES = 500
 
 
 def closed_form(x, xi):
@@ -655,13 +661,12 @@ class TestProblemFamily:
         lo, hi = 1, 5
         for x in ([0.9], [0.35], [-0.4]):
             x = np.array(x)
-            block = family.gep_kernel(lo, hi, 0.5, x)
-            assert block.shape == (hi - lo, 1)
+            # one-member blocks: a row beside a further one may be x itself
             for i in range(lo, hi):
                 f, A = geps[i]
-                np.testing.assert_array_equal(
-                    block[i - lo], resolvent(f, A, 0.5, x, BASE)
-                )
+                row = family.gep_kernel(i, i + 1, 0.5, x)
+                assert row.shape == (1, 1)
+                np.testing.assert_array_equal(row[0], resolvent(f, A, 0.5, x, BASE))
             block = family.map_kernel(lo, hi, 3, x)
             assert block.shape == (hi - lo, 1)
             for j in range(lo, hi):
@@ -908,11 +913,13 @@ class TestScalarResolventPath:
         for x in grid:
             for r in (0.5, 1.0, 2.5):
                 expected = np.vstack([resolvent(f, A, r, [x], BASE) for f, A in geps])
-                # a new family evaluates the ends; its second call reads them
+                # a new family evaluates the ends; its second call reads them.
+                # One-member blocks: a row beside a further one may be x itself.
                 family = ProblemFamily.from_members(BASE, geps, [])
                 for _ in range(2):
                     calls.clear()
-                    rows = family.gep_kernel(0, len(geps), r, np.array([x]))
+                    rows = np.vstack([family.gep_kernel(i, i + 1, r, np.array([x]))
+                                      for i in range(len(geps))])
                     assert rows.tobytes() == expected.tobytes(), (x, r)
                     assert calls == []
 
@@ -989,7 +996,7 @@ class TestScalarResolventPath:
         x = np.array([0.7])
         expected = np.vstack([resolvent(g, A, 0.5, x, BASE) for g, A in geps])
         calls = _count_resolve_calls(monkeypatch)
-        rows = family.gep_kernel(0, 3, 0.5, x)
+        rows = np.vstack([family.gep_kernel(i, i + 1, 0.5, x) for i in range(3)])
         assert rows.tobytes() == expected.tobytes()
         assert calls == [f, geps[2][0]]
 
@@ -1006,12 +1013,18 @@ class TestMemberEvaluationCounts:
         geps = [(ScalarMonotoneBifunction(profile=profile, lo=f.lo, hi=f.hi), zero_operator())
                 for f, (profile, _) in zip(members, counted)]
         family = ProblemFamily.from_members(BASE, geps, [])
+
+        def each_member(r, x):
+            # one-member blocks, where no member can be screened
+            for i in range(len(geps)):
+                family.gep_kernel(i, i + 1, r, np.array([x]))
+
         for x in (-0.3, 0.2, 0.7):
             for r in (0.5, 1.0):
-                family.gep_kernel(0, len(geps), r, np.array([x]))
+                each_member(r, x)
                 for _, calls in counted:
                     calls[0] = 0
-                family.gep_kernel(0, len(geps), r, np.array([x]))
+                each_member(r, x)
                 fixed = 0
                 for f, (_, calls) in zip(members, counted):
                     alone, alone_calls = counting(f.profile)
@@ -1095,6 +1108,116 @@ class TestMemberKernelsReference:
                 if not field.name.startswith("t_"):  # timings
                     name = field.name
                     assert _bits(getattr(a, name)) == _bits(getattr(b, name)), (a.n, name)
+
+
+def _screen_members(rng):
+    """A seeded member list for the resolvent screen, and the points to
+    evaluate it at: scalar pairs of five profile kinds beside general pairs,
+    with points at thresholds, bracket ends, +-0.0 and random places."""
+    geps, points = [], [0.0, -0.0, -1.0, 1.0]
+    for _ in range(int(rng.integers(3, 13))):
+        kind = rng.integers(7)
+        t = float(rng.uniform(-0.9, 0.9))
+        lo = float(rng.choice([-1.0, rng.uniform(-1.0, t)]))
+        hi = float(rng.choice([1.0, rng.uniform(t, 1.0)]))
+        scale = float(rng.uniform(0.1, 3.0))
+        if kind == 0:
+            f = section4_bifunction(t)
+        elif kind == 1:
+            f = ScalarMonotoneBifunction(lambda z, t=t, s=scale: s * (z - t) ** 3, lo, hi)
+        elif kind == 2:
+            f = ScalarMonotoneBifunction(lambda z, t=t, s=scale: s * (z - t), lo, hi)
+        elif kind == 3:
+            f = ScalarMonotoneBifunction(lambda z, t=t: 1e6 * (z - t), lo, hi)
+        elif kind == 4:
+            f = ScalarMonotoneBifunction(
+                lambda z, t=t, s=scale: -s if z < t else s, lo, hi)
+        if kind < 5:
+            geps.append((f, zero_operator()))
+            points += [t, f.lo, f.hi]
+        elif kind == 5:
+            geps.append((ZeroBifunction(), affine_operator(scale, [t])))
+        else:
+            geps.append((section4_bifunction(t), affine_operator(scale, [t])))
+    points += [float(p) for p in rng.uniform(-1.0, 1.0, 4)]
+    return geps, points
+
+
+def _phase(family, r, x, pool, workers):
+    """``furthest_candidate`` over the family's pairs as
+    ``(index, point bytes, dist2)``."""
+    won = furthest_candidate(gep_chunk_evaluator(family, r, x), family.n_geps, x,
+                             pool=pool, workers=workers)
+    return won.index, won.point.tobytes(), won.dist2
+
+
+def _constant(height):
+    return ScalarMonotoneBifunction(lambda z: height, -1.0, 1.0)
+
+
+class TestResolventScreen:
+    """The member resolvent kernel root-finds only the members whose reach
+    can attain the block's best row; the reduction picks the winner of the
+    kernel that root-finds every member, bit for bit."""
+
+    @staticmethod
+    def _check(geps, points, rs, pool=None, workers=1):
+        family = ProblemFamily.from_members(BASE, geps, [])
+        gep_kernel, _ = member_kernels_reference(BASE, family.geps, [])
+        reference = replace(family, gep_kernel=gep_kernel)
+        for x in points:
+            for r in rs:
+                xv = np.array([x])
+                want = _phase(reference, r, xv, pool, workers)
+                assert _phase(family, r, xv, pool, workers) == want, (x, r)
+
+    @pytest.mark.parametrize(
+        "rows_per_block, workers", [(None, 1), (3, 1), (3, 2)],
+        ids=["one-block", "3-row-1w", "3-row-2w"],
+    )
+    def test_winner_matches_the_reference(self, monkeypatch, rows_per_block, workers):
+        if rows_per_block is not None:
+            monkeypatch.setattr(parallel, "TARGET_CHUNK_ROWS", rows_per_block)
+        rng = np.random.default_rng(97)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in range(SCREEN_FAMILIES):
+                geps, points = _screen_members(rng)
+                self._check(geps, points, (0.5, 1.0, 2.5), pool, workers)
+
+    def test_near_tied_constant_profiles(self):
+        # Roots x - r * h at heights less than 5e-13 apart. The root finder
+        # may stop up to tol / 2 from the root, so a reach without its
+        # margin screens a member that wins: member 0 below lies 4.1e-13
+        # further out than its |g(x)| and ties member 1, whose |g(x)| is
+        # 2.7e-13 larger.
+        x, r, *heights = map(float.fromhex, [
+            "-0x1.bc7df4d432f80p-5", "0x1.2dda9e736936fp+0", "0x1.2cba8652a34f0p-5",
+            "0x1.2cba8652ab6bep-5", "0x1.2cba8652a7cdep-5", "0x1.2cba8652a6090p-5"])
+        self._check([(_constant(h), zero_operator()) for h in heights], [x], [r])
+        rng = np.random.default_rng(101)
+        for _ in range(NEAR_TIE_FAMILIES):
+            h = float(rng.uniform(-0.4, 0.4))
+            heights = h + rng.uniform(0.0, 5e-13, int(rng.integers(2, 6)))
+            self._check([(_constant(float(v)), zero_operator()) for v in heights],
+                        [float(rng.uniform(-0.5, 0.5))], [float(rng.uniform(0.5, 1.5))])
+
+    def test_screened_member_costs_one_profile_call(self):
+        # Member 0 moves 0.5 by 0.25; member 1 by about 1e-6 and is screened.
+        near, near_calls = counting(lambda z: 1e-6)
+        geps = [(_constant(0.25), zero_operator()),
+                (ScalarMonotoneBifunction(near, -1.0, 1.0), zero_operator())]
+        family = ProblemFamily.from_members(BASE, geps, [])
+        x = np.array([0.5])
+        for calls in (3, 1):  # both ends and g(x) first, then g(x) alone
+            near_calls[0] = 0
+            rows = family.gep_kernel(0, 2, 1.0, x)
+            assert near_calls[0] == calls
+            np.testing.assert_array_equal(rows, [[0.25], [0.5]])
+        # alone in its block it is root-found, as resolvent does
+        near_calls[0] = 0
+        row = family.gep_kernel(1, 2, 1.0, x)
+        assert near_calls[0] > 1
+        assert row.tobytes() == resolvent(geps[1][0], zero_operator(), 1.0, x, BASE).tobytes()
 
 
 class TestCustomBifunction:

@@ -322,6 +322,18 @@ class TestSection4Map:
         with pytest.raises(ValueError, match="1-D"):
             section4_map(1.5)(np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("point", [[0.5, 0.5], []], ids=["2-D", "empty"])
+    def test_point_of_another_size_refused_with_its_message(self, point):
+        s = section4_map(1.5)
+        message = r"^section4 map requires a 1-D problem$"
+        with pytest.raises(ValueError, match=message):
+            s.map(np.array(point))
+        if point:
+            box = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+            family = ProblemFamily.from_members(box, [], [identity_map(), s])
+            with pytest.raises(ValueError, match=message):
+                family.map_kernel(0, 2, 1, np.array(point))
+
     def test_map_returns_a_float_and_the_member_a_vector(self):
         s = section4_map(1.5)
         result = s.map(np.array([0.5]))
